@@ -9,12 +9,6 @@
 
 use std::process::ExitCode;
 
-// One strict `--workers` parser for every binary: the CLI owns it
-// (bench depends on cli, not the other way around) and the bench
-// binaries re-export it so `tstorm` and `simbench` reject exactly the
-// same inputs with the same messages.
-pub use tstorm_cli::args::parse_workers;
-
 /// The `[duration_secs] [seed]` positionals every figure binary takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FigArgs {
@@ -164,13 +158,6 @@ mod tests {
         assert!(matches!(parse(&["--frobnicate"]), Parsed::Error(_)));
         assert_eq!(parse(&["--help"]), Parsed::Help);
         assert_eq!(parse(&["-h"]), Parsed::Help);
-    }
-
-    #[test]
-    fn workers_parser_is_shared_with_the_cli() {
-        assert_eq!(parse_workers("4"), Ok(4));
-        assert!(parse_workers("0").is_err());
-        assert!(parse_workers("1O").is_err(), "typo must not become 10");
     }
 
     #[test]

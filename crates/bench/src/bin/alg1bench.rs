@@ -1,12 +1,12 @@
 //! `alg1bench` — std-timer measurement of Algorithm 1's full solve
 //! versus the incremental replay path, at scale.
 //!
-//! Criterion is stubbed offline, so this binary measures with
-//! `std::time::Instant` directly: for each executor count it times (a)
-//! the full solve on fresh inputs, and (b) the incremental replay on
-//! load-only perturbations of a cached solve, verifying on every
-//! iteration that the replay actually took the incremental path and
-//! (once per size) that its assignment equals a fresh full re-solve.
+//! The binary measures with `std::time::Instant` directly: for each
+//! executor count it times (a) the full solve on fresh inputs, and (b)
+//! the incremental replay on load-only perturbations of a cached solve,
+//! verifying on every iteration that the replay actually took the
+//! incremental path and (once per size) that its assignment equals a
+//! fresh full re-solve.
 //!
 //! ```text
 //! alg1bench [--ne N[,N]...] [--nodes K] [--slots S] [--iters I]
@@ -21,8 +21,7 @@ use tstorm_sched::{
 };
 use tstorm_types::{ComponentId, ExecutorId, Mhz, TopologyId};
 
-/// A chain of `ne` executors over `nodes`×`slots_per_node` slots — the
-/// same shape the `alg1_scaling` criterion bench sweeps.
+/// A chain of `ne` executors over `nodes`×`slots_per_node` slots.
 fn chain_input(ne: u32, nodes: u32, slots_per_node: u32) -> SchedulingInput {
     let cluster = ClusterSpec::homogeneous(nodes, slots_per_node, Mhz::new(8000.0)).expect("valid");
     let executors: Vec<ExecutorInfo> = (0..ne)

@@ -11,9 +11,8 @@
 //! # Thread-confinement boundary
 //!
 //! `Simulation` and `TStormSystem` are `Send` (refcount-shared state
-//! uses `Arc`/`Mutex`), so moving a system across threads compiles —
-//! but this harness still confines each trial's system to its worker
-//! thread by convention: [`run_trial`] constructs, drives and drops
+//! uses `Arc`/`Mutex`), so moving a system across threads compiles,
+//! but this harness confines each trial's system to its worker thread: [`run_trial`] constructs, drives and drops
 //! the system inside one call, and only the plain-data [`TrialResult`]
 //! crosses the thread boundary. Confinement keeps every trial's state
 //! advance strictly serial (the determinism contract) and avoids any
@@ -633,8 +632,7 @@ mod tests {
     fn trial_results_are_send() {
         // The thread-confinement contract: results cross threads;
         // systems stay inside their worker thread by convention (they
-        // are Send since the frame-parallel refactor, so the compiler
-        // no longer enforces it).
+        // are Send, so the compiler does not enforce it).
         fn assert_send<T: Send>() {}
         assert_send::<TrialResult>();
         assert_send::<TrialSpec>();

@@ -74,3 +74,29 @@ fn sweep_rejects_malformed_grid_flags() {
         assert!(!out.stderr.is_empty(), "sweep {args:?} explains itself");
     }
 }
+
+#[test]
+fn simbench_rejects_removed_flags_and_scenarios() {
+    // (arguments, text stderr must contain). The `--workers` dimension
+    // and the dense scale scenarios were removed; asking for them must
+    // fail before anything runs or is written.
+    let out_path = std::env::temp_dir().join("simbench-strict-args.json");
+    let out_arg = out_path.to_string_lossy().into_owned();
+    let table: [(&[&str], &str); 3] = [
+        (&["--workers", "2"], "--workers"),
+        (&["--scenario", "scale-100-dense"], "--scenario"),
+        (&["--scenario", "scale-500-dense"], "scale-500-dense"),
+    ];
+    for (args, needle) in table {
+        let mut argv = args.to_vec();
+        argv.extend(["--out", &out_arg]);
+        let out = run(env!("CARGO_BIN_EXE_simbench"), &argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "simbench {args:?}: {stderr}");
+        assert!(
+            stderr.contains(needle),
+            "simbench {args:?} names `{needle}`: {stderr}"
+        );
+        assert!(!out_path.exists(), "simbench {args:?} wrote a trajectory");
+    }
+}

@@ -1,66 +1,88 @@
-//! Sparse-vs-dense pair-backend equivalence, and conservation at scale.
+//! Pinned pair-traffic behaviour, and conservation at scale.
 //!
-//! The sparse pair-traffic store is a pure representation change: for
-//! any scenario, seed and fault plan, both backends must produce the
-//! same report scalars, the same `pair_tuples()` contents, and — the
-//! strongest form of the contract — byte-identical JSONL traces. These
-//! tests pin that on the word-count, fault-replay and overload-recovery
-//! scenarios, then check tuple conservation on the scale-100 preset
+//! The pair-traffic store once had a dense matrix backend next to the
+//! sparse map. Both gave byte-identical JSONL traces and equal report
+//! scalars on every scenario, so the dense one was removed. The values
+//! pinned below were computed before the removal, where the dense
+//! backend produced the same ones: the word-count, fault-replay and
+//! overload-recovery traces (as 64-bit FNV-1a digests) with their
+//! outcome scalars, and the `pair_tuples()` window of a raw chain run.
+//! The last test checks tuple conservation on the scale-100 preset
 //! (100 heterogeneous nodes, 10,200 executors).
 
+use std::hash::Hasher;
+use std::io::{self, Write};
 use tstorm_cli::args::{RunOptions, ScaleClass};
-use tstorm_cli::scenario::{run_scenario, ScenarioOutcome, Topology};
+use tstorm_cli::scenario::{run_scenario, Topology};
 use tstorm_cluster::ClusterSpec;
 use tstorm_core::{SystemMode, TStormConfig, TStormSystem};
-use tstorm_sim::PairBackend;
-use tstorm_trace::{JsonlWriter, Observer};
+use tstorm_sim::routing::StableHasher;
+use tstorm_trace::{JsonlWriter, Observer, SharedSink};
 use tstorm_types::{Mhz, SimTime};
 use tstorm_workloads::wordcount::{self, WordCountParams, WordCountState};
 
-fn tmp_path(tag: &str) -> std::path::PathBuf {
+/// A `Write` that folds its bytes into a 64-bit FNV-1a digest.
+#[derive(Default)]
+struct Digest(StableHasher);
+
+impl Write for Digest {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The deterministic scalars of one CLI run, plus its trace digest.
+#[derive(Debug, PartialEq, Eq)]
+struct Pinned {
+    digest: u64,
+    lines: u64,
+    completed: u64,
+    failed: u64,
+    emitted: u64,
+    generations: u32,
+    reassignments: u32,
+    overload_events: u32,
+    faults_injected: u32,
+    tuples_lost: u64,
+    perm_failed: u64,
+    pairs_observed: u64,
+}
+
+/// Runs the scenario with a JSONL trace attached and pins its outcome.
+fn pinned_run(opts: &RunOptions, tag: &str) -> Pinned {
     let dir = std::env::temp_dir().join("tstorm-scale-equivalence-test");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    dir.join(format!("{tag}.jsonl"))
-}
-
-/// Runs the scenario on the given backend with a JSONL trace attached;
-/// returns the outcome and the raw trace bytes.
-fn run_with(opts: &RunOptions, backend: PairBackend, tag: &str) -> (ScenarioOutcome, Vec<u8>) {
-    let path = tmp_path(tag);
+    let path = dir.join(format!("{tag}.jsonl"));
     let mut opts = opts.clone();
-    opts.pair_backend = Some(backend);
     opts.trace = Some(path.to_string_lossy().into_owned());
-    let outcome = run_scenario(&opts).expect("scenario runs");
+    let o = run_scenario(&opts).expect("scenario runs");
     let bytes = std::fs::read(&path).expect("trace file");
     let _ = std::fs::remove_file(&path);
-    (outcome, bytes)
-}
-
-/// Every deterministic scalar of the outcome must match across
-/// backends; only the pair-state footprint statistics may differ.
-fn assert_scalars_equal(sparse: &ScenarioOutcome, dense: &ScenarioOutcome, what: &str) {
-    assert_eq!(sparse.completed, dense.completed, "{what}: completed");
-    assert_eq!(sparse.failed, dense.failed, "{what}: failed");
-    assert_eq!(sparse.emitted, dense.emitted, "{what}: emitted");
-    assert_eq!(sparse.generations, dense.generations, "{what}: generations");
-    assert_eq!(
-        sparse.reassignments, dense.reassignments,
-        "{what}: reassignments"
-    );
-    assert_eq!(
-        sparse.overload_events, dense.overload_events,
-        "{what}: overload events"
-    );
-    assert_eq!(sparse.tuples_lost, dense.tuples_lost, "{what}: lost");
-    assert_eq!(sparse.perm_failed, dense.perm_failed, "{what}: perm-failed");
-    assert_eq!(
-        sparse.engine.pairs_observed, dense.engine.pairs_observed,
-        "{what}: both backends must observe the same pair set"
-    );
+    let mut digest = Digest::default();
+    digest.write_all(&bytes).expect("hashing never fails");
+    Pinned {
+        digest: digest.0.finish64(),
+        lines: bytes.iter().filter(|&&b| b == b'\n').count() as u64,
+        completed: o.completed,
+        failed: o.failed,
+        emitted: o.emitted,
+        generations: o.generations,
+        reassignments: o.reassignments,
+        overload_events: o.overload_events,
+        faults_injected: o.faults_injected,
+        tuples_lost: o.tuples_lost,
+        perm_failed: o.perm_failed,
+        pairs_observed: o.engine.pairs_observed,
+    }
 }
 
 #[test]
-fn wordcount_is_identical_across_backends() {
+fn wordcount_matches_the_pinned_run() {
     let opts = RunOptions {
         topology: Topology::WordCount,
         duration_secs: 60,
@@ -69,18 +91,27 @@ fn wordcount_is_identical_across_backends() {
         quiet: true,
         ..RunOptions::default()
     };
-    let (sparse, sparse_trace) = run_with(&opts, PairBackend::Sparse, "wc-sparse");
-    let (dense, dense_trace) = run_with(&opts, PairBackend::Dense, "wc-dense");
-    assert_scalars_equal(&sparse, &dense, "wordcount");
-    assert!(sparse_trace.iter().filter(|&&b| b == b'\n').count() > 100);
     assert_eq!(
-        sparse_trace, dense_trace,
-        "word-count traces must be byte-identical across pair backends"
+        pinned_run(&opts, "wc"),
+        Pinned {
+            digest: 0x191b_dc1a_a268_745d,
+            lines: 1_566_431,
+            completed: 6_000,
+            failed: 0,
+            emitted: 6_000,
+            generations: 0,
+            reassignments: 0,
+            overload_events: 0,
+            faults_injected: 0,
+            tuples_lost: 0,
+            perm_failed: 0,
+            pairs_observed: 117,
+        }
     );
 }
 
 #[test]
-fn fault_replay_is_identical_across_backends() {
+fn fault_replay_matches_the_pinned_run() {
     let opts = RunOptions {
         topology: Topology::Throughput,
         duration_secs: 120,
@@ -92,20 +123,30 @@ fn fault_replay_is_identical_across_backends() {
         ],
         ..RunOptions::default()
     };
-    let (sparse, sparse_trace) = run_with(&opts, PairBackend::Sparse, "fault-sparse");
-    let (dense, dense_trace) = run_with(&opts, PairBackend::Dense, "fault-dense");
-    assert_eq!(sparse.faults_injected, 2);
-    assert_scalars_equal(&sparse, &dense, "fault replay");
     assert_eq!(
-        sparse_trace, dense_trace,
-        "fault-replay traces must be byte-identical across pair backends"
+        pinned_run(&opts, "fault"),
+        Pinned {
+            digest: 0x5f41_fbe2_2e4b_7656,
+            lines: 2_340_370,
+            completed: 66_847,
+            failed: 27,
+            emitted: 66_876,
+            generations: 3,
+            reassignments: 15,
+            overload_events: 1,
+            faults_injected: 2,
+            tuples_lost: 52,
+            perm_failed: 0,
+            pairs_observed: 700,
+        }
     );
 }
 
 /// The Fig. 9 overload-recovery experiment (word count squeezed into
 /// one node, two concurrent corpus streams, then detected and spread),
 /// run directly so the overload fast path is genuinely exercised.
-fn overload_run(backend: PairBackend, tag: &str) -> (TStormSystem, Vec<u8>) {
+#[test]
+fn overload_recovery_matches_the_pinned_run() {
     let params = WordCountParams::overload();
     let topo = wordcount::topology(&params).expect("valid");
     let state = WordCountState::new();
@@ -116,61 +157,39 @@ fn overload_run(backend: PairBackend, tag: &str) -> (TStormSystem, Vec<u8>) {
         .with_gamma(2.0)
         .with_seed(42);
     config.capacity_fraction = 0.8;
-    config.sim.pair_backend = backend;
     let cluster = ClusterSpec::homogeneous(10, 4, Mhz::new(8000.0)).expect("valid");
     let mut system = TStormSystem::new(cluster, config).expect("valid config");
-
-    let path = tmp_path(tag);
-    let file = std::fs::File::create(&path).expect("create trace");
-    let observer = Observer::builder()
-        .sink(Box::new(JsonlWriter::new(std::io::BufWriter::new(file))))
-        .build();
-    system.set_observer(observer.clone());
+    let sink = SharedSink::new(JsonlWriter::new(Digest::default()));
+    system.set_observer(Observer::builder().sink(Box::new(sink.handle())).build());
 
     let mut factory = wordcount::factory(&state);
     system.submit(&topo, &mut factory).expect("submits");
     system.start().expect("starts");
     system.run_until(SimTime::from_secs(120)).expect("runs");
-    observer.flush().expect("flush");
-    let bytes = std::fs::read(&path).expect("trace file");
-    let _ = std::fs::remove_file(&path);
-    (system, bytes)
+    let sim = system.simulation();
+    assert_eq!(
+        (
+            sink.with(|w| (w.get_ref().0.finish64(), w.lines_written())),
+            system.overload_events(),
+            system.generations(),
+            sim.completed(),
+            sim.failed(),
+        ),
+        ((0x6a70_2213_fd4b_e2ec, 10_250_684), 1, 1, 39_264, 0)
+    );
 }
 
 #[test]
-fn overload_recovery_is_identical_across_backends() {
-    let (sparse, sparse_trace) = overload_run(PairBackend::Sparse, "ovl-sparse");
-    let (dense, dense_trace) = overload_run(PairBackend::Dense, "ovl-dense");
-    assert!(
-        sparse.overload_events() > 0,
-        "the overload fast path must actually fire"
-    );
-    assert_eq!(sparse.overload_events(), dense.overload_events());
-    assert_eq!(sparse.generations(), dense.generations());
-    assert_eq!(
-        sparse.simulation().completed(),
-        dense.simulation().completed()
-    );
-    assert_eq!(sparse.simulation().failed(), dense.simulation().failed());
-    assert_eq!(
-        sparse_trace, dense_trace,
-        "overload-recovery traces must be byte-identical across pair backends"
-    );
-}
-
-/// Runs the chain workload on a raw simulation (no monitor draining the
-/// window) and returns the full pair set of the first 20 virtual
-/// seconds.
-fn chain_pairs(
-    backend: PairBackend,
-) -> Vec<(tstorm_types::ExecutorId, tstorm_types::ExecutorId, u64)> {
+fn pair_tuples_match_the_pinned_window() {
     use tstorm_cluster::Assignment;
     use tstorm_sim::{SimConfig, Simulation};
     use tstorm_types::SlotId;
     use tstorm_workloads::chain::{self, ChainParams};
 
+    // A raw simulation (no monitor draining the window): the full pair
+    // set of the first 20 virtual seconds, row-major.
     let cluster = ClusterSpec::homogeneous(4, 2, Mhz::new(8000.0)).expect("valid");
-    let mut sim = Simulation::new(cluster, SimConfig::default().with_pair_backend(backend));
+    let mut sim = Simulation::new(cluster, SimConfig::default());
     let p = ChainParams {
         spouts: 2,
         bolt_parallelism: 3,
@@ -187,17 +206,19 @@ fn chain_pairs(
         .collect();
     sim.apply_assignment(&a);
     sim.run_until(SimTime::from_secs(20));
-    sim.drain_counters().pair_tuples().collect()
-}
-
-#[test]
-fn pair_tuples_match_across_backends() {
-    // `pair_tuples()` is defined to iterate row-major for both
-    // representations, so the windows must agree element-for-element.
-    let s = chain_pairs(PairBackend::Sparse);
-    let d = chain_pairs(PairBackend::Dense);
-    assert!(!s.is_empty(), "the window should hold pair traffic");
-    assert_eq!(s, d, "pair_tuples() must agree element-for-element");
+    let mut hasher = StableHasher::new();
+    let (mut pairs, mut tuples) = (0u64, 0u64);
+    for (src, dst, n) in sim.drain_counters().pair_tuples() {
+        hasher.write_u32(src.index());
+        hasher.write_u32(dst.index());
+        hasher.write_u64(n);
+        pairs += 1;
+        tuples += n;
+    }
+    assert_eq!(
+        (pairs, tuples, hasher.finish64()),
+        (113, 72_024, 0xa682_fd43_7279_7658)
+    );
 }
 
 #[test]
@@ -233,8 +254,8 @@ fn scale_100_conserves_tuples_and_stays_sparse() {
         Some(100),
         "all 100 heterogeneous nodes should host executors"
     );
-    // 10,200 executors: the dense matrix would hold 10,200² cells
-    // (~832 MB). The default sparse store must stay far below that.
+    // 10,200 executors: a dense matrix would hold 10,200² cells
+    // (~832 MB). The sparse store must stay far below that.
     let dense_bytes = 10_200u64 * 10_200 * 8;
     assert!(
         outcome.engine.pair_state_bytes * 5 < dense_bytes,

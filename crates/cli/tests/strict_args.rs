@@ -13,42 +13,35 @@ fn run(args: &[&str]) -> std::process::Output {
 }
 
 #[test]
-fn malformed_workers_exits_two_and_names_the_value() {
-    // The classic letter-O typo must not silently run with 10 lanes.
-    let out = run(&["run", "--workers", "1O"]);
-    assert_eq!(out.status.code(), Some(2), "exit code for `--workers 1O`");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("1O"),
-        "stderr names the bad value: {stderr}"
-    );
-    assert!(stderr.contains("USAGE"), "stderr shows usage: {stderr}");
-}
-
-#[test]
-fn zero_and_missing_workers_exit_two() {
-    let out = run(&["run", "--workers", "0"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("at least 1"));
-
-    let out = run(&["run", "--workers"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("requires a value"));
-}
-
-#[test]
-fn workers_beyond_cluster_size_exit_two() {
-    // Default cluster is 10 nodes.
-    let out = run(&["run", "--workers", "11"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("exceeds the 10 worker nodes"),
-        "stderr explains the bound: {stderr}"
-    );
-
-    let out = run(&["run", "--nodes", "4", "--workers", "5"]);
-    assert_eq!(out.status.code(), Some(2));
+fn malformed_and_removed_flags_exit_two_and_name_the_culprit() {
+    // (arguments, text stderr must contain). `--workers` and
+    // `--pair-backend` were removed; a script still passing them must
+    // fail loudly rather than run something other than it asked for.
+    let table: [(&[&str], &str); 5] = [
+        (&["run", "--workers", "4"], "--workers"),
+        (&["compare", "--workers", "2"], "--workers"),
+        (&["run", "--pair-backend", "dense"], "--pair-backend"),
+        // The classic letter-O typo must not silently run 10 s.
+        (&["run", "--duration", "1O"], "1O"),
+        (&["run", "--duration"], "requires a value"),
+    ];
+    for (args, needle) in table {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "exit code for {args:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains(needle),
+            "{args:?}: stderr names `{needle}`: {stderr}"
+        );
+        assert!(
+            stderr.contains("USAGE"),
+            "{args:?}: stderr shows usage: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -60,15 +53,13 @@ fn unknown_flags_still_exit_two() {
 }
 
 #[test]
-fn valid_workers_run_exits_zero() {
+fn valid_run_exits_zero() {
     let out = run(&[
         "run",
         "--topology",
         "wordcount",
         "--duration",
         "30",
-        "--workers",
-        "2",
         "--quiet",
     ]);
     assert_eq!(

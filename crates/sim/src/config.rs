@@ -127,25 +127,6 @@ impl ReassignConfig {
     }
 }
 
-/// Which storage backs the simulator's per-pair traffic counters.
-///
-/// The observed pair set is topology edges × placements — a few hundred
-/// pairs even on large clusters — so at scale the dense `n × n` matrix
-/// is almost entirely zeros (~800 MB at 10k executors). Sparse storage
-/// keys a deterministic Fx map by the packed pair id and makes memory
-/// proportional to *observed* pairs; the read path sorts at iteration
-/// time, so both backends expose identical, deterministic
-/// `pair_tuples()` order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PairBackend {
-    /// Flat row-major `n × n` matrix (the pre-scale layout, kept for
-    /// A/B benchmarking).
-    Dense,
-    /// `FxHashMap` keyed by `(from << 32) | to` (the default).
-    #[default]
-    Sparse,
-}
-
 /// Top-level simulation configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -175,10 +156,6 @@ pub struct SimConfig {
     /// default) disables staging entirely and takes the original
     /// per-tuple send path, preserving pre-batching semantics exactly.
     pub batch_size: u32,
-    /// Storage backing the per-pair traffic counters. Sparse (the
-    /// default) scales memory with observed pairs; dense keeps the
-    /// original `n × n` matrix for A/B comparison.
-    pub pair_backend: PairBackend,
 }
 
 impl Default for SimConfig {
@@ -192,7 +169,6 @@ impl Default for SimConfig {
             replay_failed: true,
             max_replays: u32::MAX,
             batch_size: 1,
-            pair_backend: PairBackend::default(),
         }
     }
 }
@@ -217,13 +193,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_batch_size(mut self, batch_size: u32) -> Self {
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Builder-style pair-counter backend override.
-    #[must_use]
-    pub fn with_pair_backend(mut self, backend: PairBackend) -> Self {
-        self.pair_backend = backend;
         self
     }
 }

@@ -68,13 +68,11 @@ pub mod config;
 pub mod engine;
 pub mod event;
 pub mod fault;
-mod frame;
 pub mod logic;
 pub mod network;
 pub mod routing;
 
-pub use config::{CpuConfig, NetworkConfig, PairBackend, ReassignConfig, ReassignMode, SimConfig};
+pub use config::{CpuConfig, NetworkConfig, ReassignConfig, ReassignMode, SimConfig};
 pub use engine::{EngineStats, ExecutorDescriptor, SimCounters, Simulation, TopologyHandle};
 pub use fault::{FaultEvent, FaultKind, FaultParseError, FaultPlan};
-pub use frame::LaneStats;
 pub use logic::{BoltLogic, ConstSpout, ExecutorLogic, IdentityBolt, SpoutLogic};

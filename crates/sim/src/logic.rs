@@ -3,9 +3,9 @@
 //! Workloads implement [`SpoutLogic`] and [`BoltLogic`]; the same logic
 //! runs unchanged under every scheduler — T-Storm's *user transparency*
 //! property. Logic must be `Send`: the engine itself is `Send` (so whole
-//! simulations can move across threads, as the sweep harness and the
-//! frame-parallel stepping mode require), which means logic shares
-//! substrate handles (queues, stores) via `Arc<Mutex<…>>`.
+//! simulations can move across threads, as the sweep harness relies
+//! on), which means logic shares substrate handles (queues, stores) via
+//! `Arc<Mutex<…>>`.
 
 use tstorm_topology::Value;
 use tstorm_types::SimTime;

@@ -54,6 +54,6 @@ pub use recorder::{parse_recording, FlightRecorder, RecordedRun, FLIGHT_RECORDER
 pub use registry::{MetricKind, MetricsRegistry};
 pub use sink::{JsonlWriter, NullSink, RingBufferSink, TraceSink};
 pub use span::{
-    decompose_root, extend as extend_span, sum_by_kind, CriticalPathCollector, PathPartial,
-    PathTotals, RootBreakdown, SpanChain, SpanKind, SpanLink, SpanSeg,
+    extend as extend_span, sum_by_kind, CriticalPathCollector, PathTotals, RootBreakdown,
+    SpanChain, SpanKind, SpanLink, SpanSeg,
 };

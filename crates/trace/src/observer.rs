@@ -197,38 +197,6 @@ impl Observer {
         }
     }
 
-    /// Applies the category filter and sampling counter to `event`
-    /// *without* recording it — the admission half of [`Self::emit`].
-    ///
-    /// The engine's frame-parallel mode decides admission at emit time
-    /// (in global event order, so the sampling counter advances exactly
-    /// as the serial path's would) and delivers the admitted events later
-    /// via [`Self::record_rendered`] once a worker lane has rendered
-    /// their JSONL lines. Always `false` when disabled.
-    #[must_use]
-    pub fn admits(&self, event: &TraceEvent) -> bool {
-        match &self.inner {
-            None => false,
-            Some(inner) => {
-                let mut g = inner.lock().unwrap_or_else(PoisonError::into_inner);
-                g.admit(event)
-            }
-        }
-    }
-
-    /// Hands an already-admitted event, with its pre-rendered JSONL
-    /// line, to every sink. Callers must pass only events for which
-    /// [`Self::admits`] returned `true`, in admission order — this
-    /// method applies no filtering of its own.
-    pub fn record_rendered(&self, at: SimTime, event: &TraceEvent, line: &str) {
-        if let Some(inner) = &self.inner {
-            let mut g = inner.lock().unwrap_or_else(PoisonError::into_inner);
-            for sink in &mut g.sinks {
-                sink.record_rendered(at, event, line);
-            }
-        }
-    }
-
     /// Runs `f` against the shared metrics registry; skipped (returning
     /// `None`) when the observer is disabled.
     pub fn metrics<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> Option<R> {
@@ -263,28 +231,19 @@ impl Observer {
 }
 
 impl Inner {
-    /// Filter + sampling decision; advances the sampling counter. The
-    /// single implementation both [`Observer::emit`] and
-    /// [`Observer::admits`] go through, so serial recording and framed
-    /// admission evolve the sampling state identically.
-    fn admit(&mut self, event: &TraceEvent) -> bool {
+    /// Applies the category filter and sampling counter, then records
+    /// the event in every sink.
+    fn offer(&mut self, at: SimTime, event: &TraceEvent) {
         let category = event.category();
         if !self.filter.allows(category) {
-            return false;
+            return;
         }
         if category.is_sampled() && self.sample > 1 {
             let keep = self.sampled_seen.is_multiple_of(self.sample);
             self.sampled_seen += 1;
             if !keep {
-                return false;
+                return;
             }
-        }
-        true
-    }
-
-    fn offer(&mut self, at: SimTime, event: &TraceEvent) {
-        if !self.admit(event) {
-            return;
         }
         for sink in &mut self.sinks {
             sink.record(at, event);
@@ -321,10 +280,6 @@ impl<S: TraceSink> SharedSink<S> {
 impl<S: TraceSink> TraceSink for SharedSink<S> {
     fn record(&mut self, at: SimTime, event: &TraceEvent) {
         self.with(|s| s.record(at, event));
-    }
-
-    fn record_rendered(&mut self, at: SimTime, event: &TraceEvent, line: &str) {
-        self.with(|s| s.record_rendered(at, event, line));
     }
 
     fn flush(&mut self) -> std::io::Result<()> {

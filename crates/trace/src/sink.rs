@@ -15,18 +15,6 @@ pub trait TraceSink: Send {
     /// Records one event at virtual time `at`.
     fn record(&mut self, at: SimTime, event: &TraceEvent);
 
-    /// Records an event whose JSONL line was already rendered elsewhere
-    /// (by an engine worker lane). `line` is exactly what
-    /// [`TraceEvent::to_jsonl`] would produce for `(at, event)`. The
-    /// default ignores the line and delegates to [`Self::record`], so
-    /// sinks that store events (ring buffers) behave identically in both
-    /// engine modes; line-oriented sinks override this to skip the
-    /// re-render.
-    fn record_rendered(&mut self, at: SimTime, event: &TraceEvent, line: &str) {
-        let _ = line;
-        self.record(at, event);
-    }
-
     /// Flushes any buffered output. Default: no-op.
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
@@ -141,11 +129,6 @@ impl<W: Write + Send> JsonlWriter<W> {
 impl<W: Write + Send> TraceSink for JsonlWriter<W> {
     fn record(&mut self, at: SimTime, event: &TraceEvent) {
         let line = event.to_jsonl(at);
-        self.record_rendered(at, event, &line);
-    }
-
-    fn record_rendered(&mut self, at: SimTime, event: &TraceEvent, line: &str) {
-        let _ = (at, event);
         // Trace output is best-effort: a full disk must not abort the
         // simulation, so write errors are swallowed after first report.
         if writeln!(self.out, "{line}").is_ok() {
