@@ -7,18 +7,22 @@
 //! backend produced the same ones: the word-count, fault-replay and
 //! overload-recovery traces (as 64-bit FNV-1a digests) with their
 //! outcome scalars, and the `pair_tuples()` window of a raw chain run.
-//! The last test checks tuple conservation on the scale-100 preset
-//! (100 heterogeneous nodes, 10,200 executors).
+//! The last two tests run the scale-100 preset (100 heterogeneous
+//! nodes, 10,200 executors): one checks tuple conservation, the other
+//! pins the schedule generated at 300 s from a traffic store of about
+//! 1.57M executor pairs, with values computed before that store became
+//! key-sorted columns.
 
 use std::hash::Hasher;
 use std::io::{self, Write};
 use tstorm_cli::args::{RunOptions, ScaleClass};
-use tstorm_cli::scenario::{run_scenario, Topology};
+use tstorm_cli::scenario::{run_scenario, scale_chain_params, scale_cluster, Topology};
 use tstorm_cluster::ClusterSpec;
-use tstorm_core::{SystemMode, TStormConfig, TStormSystem};
+use tstorm_core::{ControlEvent, SystemMode, TStormConfig, TStormSystem};
 use tstorm_sim::routing::StableHasher;
 use tstorm_trace::{JsonlWriter, Observer, SharedSink};
 use tstorm_types::{Mhz, SimTime};
+use tstorm_workloads::chain;
 use tstorm_workloads::wordcount::{self, WordCountParams, WordCountState};
 
 /// A `Write` that folds its bytes into a 64-bit FNV-1a digest.
@@ -267,5 +271,64 @@ fn scale_100_conserves_tuples_and_stays_sparse() {
         outcome.engine.pairs_observed > 10_000,
         "a 10k-executor shuffle mesh observes many pairs, got {}",
         outcome.engine.pairs_observed
+    );
+}
+
+/// Runs scale-100 under T-Storm past the first generation (300 s) and
+/// pins what it published: the assignment's (executor, slot) pairs as
+/// an FNV-1a digest, the estimated inter-node traffic by its bits, and
+/// the tuple and event counts.
+#[test]
+fn scale_100_generation_matches_the_pinned_run() {
+    let config = TStormConfig::default()
+        .with_mode(SystemMode::TStorm)
+        .with_gamma(1.7)
+        .with_seed(3);
+    let cluster = scale_cluster(ScaleClass::Scale100).expect("valid");
+    let mut system = TStormSystem::new(cluster, config).expect("valid config");
+    let p = scale_chain_params(ScaleClass::Scale100);
+    let topo = chain::topology(&p).expect("valid");
+    system
+        .submit(&topo, &mut chain::factory(&p, 3))
+        .expect("submits");
+    system.start().expect("starts");
+    system.run_until(SimTime::from_secs(320)).expect("runs");
+    let pairs = system.monitor().db().traffic_matrix().len();
+    assert!(pairs > 1_000_000, "a store of {pairs} pairs is too small");
+
+    let published = system.schedule_store().latest().expect("a schedule");
+    let mut hasher = StableHasher::new();
+    for (executor, slot) in published.versioned.assignment.iter() {
+        hasher.write_u32(executor.index());
+        hasher.write_u32(slot.index());
+    }
+    let inter_node: Vec<u64> = system
+        .timeline()
+        .iter()
+        .filter_map(|event| match event {
+            ControlEvent::SchedulePublished {
+                inter_node_traffic, ..
+            } => Some(inter_node_traffic.to_bits()),
+            _ => None,
+        })
+        .collect();
+    let sim = system.simulation();
+    assert_eq!(
+        (
+            published.versioned.epoch,
+            hasher.finish64(),
+            inter_node,
+            sim.events_processed(),
+            sim.emitted(),
+            sim.completed(),
+        ),
+        (
+            1,
+            0x7e01_4227_3338_32bd,
+            vec![0x40c5_903d_7f66_3f84],
+            4_497_110,
+            95_533,
+            95_533
+        )
     );
 }

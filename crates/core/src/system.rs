@@ -18,7 +18,7 @@ use crate::store::ScheduleStore;
 use crate::supervisor::{HeartbeatOutcome, Supervisor};
 use crate::timeline::ControlEvent;
 use std::collections::{BTreeMap, BTreeSet};
-use tstorm_cluster::{Assignment, ClusterSpec};
+use tstorm_cluster::ClusterSpec;
 use tstorm_metrics::RunReport;
 use tstorm_monitor::{HoltLinearEstimator, LoadMonitor, OverloadDetector, WindowSnapshot};
 use tstorm_sched::{
@@ -826,8 +826,15 @@ impl TStormSystem {
                 );
             });
         }
+        // Publish only real changes; re-applying the current schedule
+        // would needlessly restart workers. The candidate is scored once,
+        // for the trace, the hysteresis test and the timeline.
+        let changed = !self.sim.current_assignment().diff(&assignment).is_empty();
+        if !changed && !self.observer.is_enabled() {
+            return Ok(());
+        }
+        let quality = AssignmentQuality::evaluate(&assignment, &input);
         if self.observer.is_enabled() {
-            let quality = AssignmentQuality::evaluate(&assignment, &input);
             let at = self.sim.now();
             let algorithm = self.nimbus.scheduler_name();
             let wall = self.trace_wall_time.then_some(elapsed_us).flatten();
@@ -847,12 +854,10 @@ impl TStormSystem {
                 );
             });
         }
-        // Publish only real changes; re-applying the current schedule
-        // would needlessly restart workers.
-        if self.sim.current_assignment().diff(&assignment).is_empty() {
+        if !changed {
             return Ok(());
         }
-        if !force && !self.is_improvement(&assignment, &input) {
+        if !force && !self.is_improvement(&quality, &input) {
             self.timeline.push(ControlEvent::ScheduleSuppressed {
                 at: self.sim.now(),
                 reason: "inter-node traffic improvement below threshold".to_owned(),
@@ -860,7 +865,6 @@ impl TStormSystem {
             return Ok(());
         }
         let id = AssignmentId::from_timestamp_micros(self.sim.now().as_micros());
-        let quality = AssignmentQuality::evaluate(&assignment, &input);
         let epoch = self.store.latest_epoch() + 1;
         let explanation = self.record_explanation(epoch, explanation);
         let epoch = self.store.publish(
@@ -887,9 +891,8 @@ impl TStormSystem {
     /// spout halt). A periodic schedule is published only when it cuts
     /// estimated inter-node traffic by the configured fraction, or frees
     /// worker nodes without increasing traffic.
-    fn is_improvement(&self, candidate: &Assignment, input: &SchedulingInput) -> bool {
+    fn is_improvement(&self, new: &AssignmentQuality, input: &SchedulingInput) -> bool {
         let current = AssignmentQuality::evaluate(self.sim.current_assignment(), input);
-        let new = AssignmentQuality::evaluate(candidate, input);
         let traffic_cut = current.inter_node_traffic
             - current.inter_node_traffic * self.config.improvement_threshold;
         if new.inter_node_traffic < traffic_cut {

@@ -5,10 +5,14 @@
 //! database" — the decoupling that enables hot-swapping and flexible
 //! deployment. [`StatsDb`] is that database.
 //!
-//! Storage is index-addressed and sparse: workloads live in a dense
-//! vector indexed by executor id (ids are minted sequentially), and
-//! pair traffic lives in a deterministic Fx map keyed by the packed
-//! pair id. The default EWMA path stores its state inline as one `f64`
+//! Storage is index-addressed and sparse. Workloads live in a dense
+//! vector indexed by executor id (ids are minted sequentially). Pair
+//! traffic lives in two parallel columns, `keys` and `cells`, sorted by
+//! the packed pair id. A snapshot lists its pairs in that same order, so
+//! one window is one merge walk over the columns: a window costs time in
+//! proportion to the pairs stored plus the pairs observed, with no
+//! hashing, and the traffic matrix is read off the columns in key
+//! order. The default EWMA path stores its state inline as one `f64`
 //! per cell — no per-pair `Box<dyn Estimator>` allocations — while the
 //! custom-estimator extension point of Section IV-B boxes only when a
 //! non-default factory is installed.
@@ -17,7 +21,7 @@ use crate::estimator::{Estimator, EstimatorFactory};
 use crate::snapshot::WindowSnapshot;
 use std::collections::{BTreeMap, BTreeSet};
 use tstorm_sched::TrafficMatrix;
-use tstorm_types::{ExecutorId, FxHashMap, FxHashSet, Mhz};
+use tstorm_types::{ExecutorId, Mhz};
 
 /// How estimates are smoothed: the paper's EWMA inline (the default,
 /// allocation-free per cell) or a custom estimator factory.
@@ -97,8 +101,10 @@ pub struct StatsDb {
     smoothing: Smoothing,
     /// Workload cells indexed by dense executor id; `None` = unknown.
     workloads: Vec<Option<Cell>>,
-    /// Traffic cells keyed by the packed pair id.
-    traffic: FxHashMap<u64, Cell>,
+    /// Packed pair ids of the traffic cells, strictly ascending.
+    keys: Vec<u64>,
+    /// Traffic cells, parallel to `keys`.
+    cells: Vec<Cell>,
     windows_ingested: u64,
 }
 
@@ -106,7 +112,7 @@ impl std::fmt::Debug for StatsDb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StatsDb")
             .field("workloads", &self.workloads.iter().flatten().count())
-            .field("traffic", &self.traffic.len())
+            .field("traffic", &self.keys.len())
             .field("windows_ingested", &self.windows_ingested)
             .finish()
     }
@@ -125,21 +131,21 @@ impl StatsDb {
             (0.0..=1.0).contains(&alpha),
             "alpha must be within [0, 1], got {alpha}"
         );
-        Self {
-            smoothing: Smoothing::Ewma { alpha },
-            workloads: Vec::new(),
-            traffic: FxHashMap::default(),
-            windows_ingested: 0,
-        }
+        Self::with_smoothing(Smoothing::Ewma { alpha })
     }
 
     /// Creates an empty database using a custom estimator per parameter.
     #[must_use]
     pub fn with_estimator(factory: EstimatorFactory) -> Self {
+        Self::with_smoothing(Smoothing::Custom(factory))
+    }
+
+    fn with_smoothing(smoothing: Smoothing) -> Self {
         Self {
-            smoothing: Smoothing::Custom(factory),
+            smoothing,
             workloads: Vec::new(),
-            traffic: FxHashMap::default(),
+            keys: Vec::new(),
+            cells: Vec::new(),
             windows_ingested: 0,
         }
     }
@@ -151,46 +157,97 @@ impl StatsDb {
     /// toward zero instead of staying stale, which matters when traffic
     /// shifts after a re-assignment.
     pub fn ingest(&mut self, snapshot: &WindowSnapshot) {
+        let smoothing = &self.smoothing;
+
+        // Readings come in executor order: cells skipped between two
+        // readings (and after the last) are the absent ones.
         let period_micros = snapshot.period().as_micros();
-        let mut cpu_seen: FxHashSet<u32> = FxHashSet::default();
+        let mut next = 0;
         for (exec, cycles) in snapshot.cpu_readings() {
-            let mhz = Mhz::from_cycles_over(cycles, period_micros);
+            let mhz = Mhz::from_cycles_over(cycles, period_micros).get();
             let idx = exec.as_usize();
+            for cell in self.workloads.iter_mut().take(idx).skip(next).flatten() {
+                cell.update(smoothing, 0.0);
+            }
             if idx >= self.workloads.len() {
                 self.workloads.resize_with(idx + 1, || None);
             }
             match &mut self.workloads[idx] {
-                Some(cell) => cell.update(&self.smoothing, mhz.get()),
-                slot @ None => *slot = Some(Cell::fresh(&self.smoothing, mhz.get())),
+                Some(cell) => cell.update(smoothing, mhz),
+                slot @ None => *slot = Some(Cell::fresh(smoothing, mhz)),
             }
-            cpu_seen.insert(exec.index());
+            next = idx + 1;
         }
-        for (idx, cell) in self.workloads.iter_mut().enumerate() {
-            if let Some(cell) = cell {
-                if !cpu_seen.contains(&(idx as u32)) {
-                    cell.update(&self.smoothing, 0.0);
-                }
-            }
+        for cell in self.workloads.iter_mut().skip(next).flatten() {
+            cell.update(smoothing, 0.0);
         }
 
-        let mut pair_seen: FxHashSet<u64> = FxHashSet::default();
+        // Readings come in key order, like the columns: one merge walk
+        // updates every stored cell once and collects the new pairs, in
+        // key order, for the splice below.
+        let secs = snapshot.period().as_secs_f64();
+        let mut fresh: Vec<(u64, Cell)> = Vec::new();
+        let mut i = 0;
         for (from, to, tuples) in snapshot.traffic_readings() {
-            let rate = tuples as f64 / snapshot.period().as_secs_f64();
+            let rate = tuples as f64 / secs;
             let key = pair_key(from, to);
-            match self.traffic.get_mut(&key) {
-                Some(cell) => cell.update(&self.smoothing, rate),
-                None => {
-                    self.traffic.insert(key, Cell::fresh(&self.smoothing, rate));
-                }
+            while i < self.keys.len() && self.keys[i] < key {
+                self.cells[i].update(smoothing, 0.0);
+                i += 1;
             }
-            pair_seen.insert(key);
-        }
-        for (key, cell) in &mut self.traffic {
-            if !pair_seen.contains(key) {
-                cell.update(&self.smoothing, 0.0);
+            if self.keys.get(i) == Some(&key) {
+                self.cells[i].update(smoothing, rate);
+                i += 1;
+            } else {
+                fresh.push((key, Cell::fresh(smoothing, rate)));
             }
         }
+        for cell in &mut self.cells[i..] {
+            cell.update(smoothing, 0.0);
+        }
+        self.splice(fresh);
         self.windows_ingested += 1;
+    }
+
+    /// Merges key-ordered new cells into the columns in place: both
+    /// columns grow by the new cells' count, then fill from the back,
+    /// so no second copy of the store is ever held.
+    fn splice(&mut self, mut fresh: Vec<(u64, Cell)>) {
+        if fresh.is_empty() {
+            return;
+        }
+        let mut read = self.keys.len();
+        let mut write = read + fresh.len();
+        self.keys.resize(write, 0);
+        // Placeholders, each replaced by a real cell before the loop ends.
+        self.cells.resize_with(write, || Cell::Ewma(0.0));
+        while let Some((key, cell)) = fresh.pop() {
+            while read > 0 && self.keys[read - 1] > key {
+                read -= 1;
+                write -= 1;
+                self.keys[write] = self.keys[read];
+                self.cells.swap(read, write);
+            }
+            write -= 1;
+            self.keys[write] = key;
+            self.cells[write] = cell;
+        }
+    }
+
+    /// Keeps only the traffic cells whose packed pair id passes `keep`,
+    /// compacting both columns in place (key order is preserved).
+    fn retain_pairs(&mut self, mut keep: impl FnMut(u64) -> bool) {
+        let mut write = 0;
+        for read in 0..self.keys.len() {
+            let key = self.keys[read];
+            if keep(key) {
+                self.keys[write] = key;
+                self.cells.swap(write, read);
+                write += 1;
+            }
+        }
+        self.keys.truncate(write);
+        self.cells.truncate(write);
     }
 
     /// Estimated workload of every known executor (`l_i`), in executor
@@ -218,20 +275,19 @@ impl StatsDb {
     }
 
     /// Estimated traffic matrix (`<r_ii'>`, tuples/second). Pairs whose
-    /// estimate has decayed to (near) zero are omitted. The matrix is
-    /// key-ordered regardless of the sparse store's iteration order.
+    /// estimate has decayed to (near) zero are omitted. The columns are
+    /// already in the matrix's key order, so it is bulk-built.
     #[must_use]
     pub fn traffic_matrix(&self) -> TrafficMatrix {
-        let mut m = TrafficMatrix::new();
-        for (key, cell) in &self.traffic {
-            if let Some(rate) = cell.get() {
-                if rate > 1e-9 {
-                    let (from, to) = unpack_pair(*key);
-                    m.set(from, to, rate);
-                }
-            }
-        }
-        m
+        self.keys
+            .iter()
+            .zip(&self.cells)
+            .filter_map(|(key, cell)| {
+                let rate = cell.get().filter(|rate| *rate > 1e-9)?;
+                let (from, to) = unpack_pair(*key);
+                Some((from, to, rate))
+            })
+            .collect()
     }
 
     /// Removes every estimate touching the given executor (topology
@@ -241,8 +297,7 @@ impl StatsDb {
             *cell = None;
         }
         let id = executor.index();
-        self.traffic
-            .retain(|key, _| (*key >> 32) as u32 != id && *key as u32 != id);
+        self.retain_pairs(|key| (key >> 32) as u32 != id && key as u32 != id);
     }
 
     /// Keeps only estimates touching the given executors — the bulk
@@ -251,15 +306,17 @@ impl StatsDb {
     /// traffic pairs would otherwise keep steering the traffic-aware
     /// scheduler toward executors that no longer exist.
     pub fn retain_executors(&mut self, keep: &BTreeSet<ExecutorId>) {
+        let mut kept = vec![false; keep.last().map_or(0, |e| e.as_usize() + 1)];
+        for e in keep {
+            kept[e.as_usize()] = true;
+        }
+        let is_kept = |id: u32| kept.get(id as usize).copied().unwrap_or(false);
         for (idx, cell) in self.workloads.iter_mut().enumerate() {
-            if cell.is_some() && !keep.contains(&ExecutorId::new(idx as u32)) {
+            if !is_kept(idx as u32) {
                 *cell = None;
             }
         }
-        self.traffic.retain(|key, _| {
-            let (from, to) = unpack_pair(*key);
-            keep.contains(&from) && keep.contains(&to)
-        });
+        self.retain_pairs(|key| is_kept((key >> 32) as u32) && is_kept(key as u32));
     }
 
     /// Number of windows ingested so far — the schedule generator uses
@@ -272,7 +329,7 @@ impl StatsDb {
     /// True if no estimates exist.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.workloads.iter().all(Option::is_none) && self.traffic.is_empty()
+        self.workloads.iter().all(Option::is_none) && self.keys.is_empty()
     }
 }
 

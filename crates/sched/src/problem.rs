@@ -142,6 +142,22 @@ impl TrafficMatrix {
     }
 }
 
+impl FromIterator<(ExecutorId, ExecutorId, f64)> for TrafficMatrix {
+    /// Builds the matrix that [`TrafficMatrix::set`] would give, applied
+    /// to the triples in turn: a repeated pair keeps its last rate, and a
+    /// pair whose rate is not positive is absent. The map is bulk-built
+    /// from the sorted triples, which packs its nodes full; inserting key
+    /// by key in ascending order leaves them half empty.
+    fn from_iter<I: IntoIterator<Item = (ExecutorId, ExecutorId, f64)>>(iter: I) -> Self {
+        let mut entries: BTreeMap<(ExecutorId, ExecutorId), f64> = iter
+            .into_iter()
+            .map(|(from, to, rate)| ((from, to), rate))
+            .collect();
+        entries.retain(|_, rate| *rate > 0.0);
+        Self { entries }
+    }
+}
+
 /// Tunable scheduling parameters (Section IV-C), adjustable on the fly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedParams {
@@ -319,6 +335,27 @@ mod tests {
         m.set(e(0), e(1), 10.0);
         m.set(e(0), e(1), 0.0);
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn collect_matches_set_in_turn() {
+        let triples = [
+            (e(2), e(0), 4.0),
+            (e(0), e(1), 1.0),
+            (e(0), e(1), 2.0),
+            (e(1), e(2), 3.0),
+            (e(1), e(2), 0.0),
+            (e(3), e(0), -1.0),
+            (e(3), e(1), f64::NAN),
+        ];
+        let mut by_set = TrafficMatrix::new();
+        for (f, t, r) in triples {
+            by_set.set(f, t, r);
+        }
+        let collected: TrafficMatrix = triples.into_iter().collect();
+        assert_eq!(collected, by_set);
+        assert_eq!(collected.get(e(0), e(1)), 2.0, "the last rate wins");
+        assert_eq!(collected.len(), 2);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::problem::SchedulingInput;
 use serde::{Deserialize, Serialize};
 use tstorm_cluster::Assignment;
+use tstorm_types::{ExecutorId, SlotId};
 
 /// The traffic/consolidation quality of one assignment under one input.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -34,8 +35,18 @@ impl AssignmentQuality {
         let mut inter_node = 0.0;
         let mut inter_process = 0.0;
         let mut intra_worker = 0.0;
+        // Slots by dense executor id, resolved once for all entries.
+        let len = assignment
+            .iter()
+            .last()
+            .map_or(0, |(e, _)| e.as_usize() + 1);
+        let mut slot_of: Vec<Option<SlotId>> = vec![None; len];
+        for (e, s) in assignment.iter() {
+            slot_of[e.as_usize()] = Some(s);
+        }
+        let slot_of = |e: ExecutorId| slot_of.get(e.as_usize()).copied().flatten();
         for (from, to, rate) in input.traffic.iter() {
-            let (Some(sf), Some(st)) = (assignment.slot_of(from), assignment.slot_of(to)) else {
+            let (Some(sf), Some(st)) = (slot_of(from), slot_of(to)) else {
                 continue;
             };
             if sf == st {
@@ -77,7 +88,7 @@ mod tests {
     use super::*;
     use crate::problem::{ExecutorInfo, SchedParams, TrafficMatrix};
     use tstorm_cluster::ClusterSpec;
-    use tstorm_types::{ComponentId, ExecutorId, Mhz, SlotId, TopologyId};
+    use tstorm_types::{ComponentId, Mhz, TopologyId};
 
     fn e(id: u32) -> ExecutorId {
         ExecutorId::new(id)
