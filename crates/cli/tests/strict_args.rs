@@ -17,13 +17,19 @@ fn malformed_and_removed_flags_exit_two_and_name_the_culprit() {
     // (arguments, text stderr must contain). `--workers` and
     // `--pair-backend` were removed; a script still passing them must
     // fail loudly rather than run something other than it asked for.
-    let table: [(&[&str], &str); 5] = [
+    let table: [(&[&str], &str); 6] = [
         (&["run", "--workers", "4"], "--workers"),
         (&["compare", "--workers", "2"], "--workers"),
         (&["run", "--pair-backend", "dense"], "--pair-backend"),
         // The classic letter-O typo must not silently run 10 s.
         (&["run", "--duration", "1O"], "1O"),
         (&["run", "--duration"], "requires a value"),
+        // A crash time past the simulated range must not wrap its
+        // restart around to before the crash.
+        (
+            &["run", "--fault", "node-crash@t=1e300,node=1,restart=10"],
+            "node-crash@t=1e300,node=1,restart=10",
+        ),
     ];
     for (args, needle) in table {
         let out = run(args);

@@ -1,7 +1,7 @@
 //! System configuration — Table II of the paper, plus mode selection.
 
 use serde::{Deserialize, Serialize};
-use tstorm_sim::{ReassignMode, SimConfig};
+use tstorm_sim::SimConfig;
 use tstorm_types::{Result, SimTime, TStormError};
 
 /// Which load estimator the monitors use (Section IV-B's extension
@@ -117,16 +117,12 @@ impl Default for TStormConfig {
 }
 
 impl TStormConfig {
-    /// Builder-style mode selection. Selecting
-    /// [`SystemMode::StormDefault`] also switches the simulator to
-    /// Storm's disruptive re-assignment semantics.
+    /// Builder-style mode selection. The mode also picks the rollout:
+    /// Storm kills and restarts changed workers, T-Storm switches each
+    /// node smoothly.
     #[must_use]
     pub fn with_mode(mut self, mode: SystemMode) -> Self {
         self.mode = mode;
-        self.sim.reassign.mode = match mode {
-            SystemMode::StormDefault => ReassignMode::Immediate,
-            SystemMode::TStorm => ReassignMode::Smooth,
-        };
         self
     }
 
@@ -229,14 +225,6 @@ mod tests {
         assert_eq!(c.fetch_period, SimTime::from_secs(10));
         assert_eq!(c.generation_period, SimTime::from_secs(300));
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn storm_mode_uses_immediate_reassignment() {
-        let c = TStormConfig::default().with_mode(SystemMode::StormDefault);
-        assert_eq!(c.sim.reassign.mode, ReassignMode::Immediate);
-        let c2 = c.with_mode(SystemMode::TStorm);
-        assert_eq!(c2.sim.reassign.mode, ReassignMode::Smooth);
     }
 
     #[test]

@@ -73,56 +73,29 @@ impl Default for NetworkConfig {
     }
 }
 
-/// How a new assignment is rolled out when supervisors detect it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReassignMode {
-    /// Storm 0.8 semantics: affected workers are killed immediately and
-    /// restarted; queued and in-flight tuples to those workers are lost
-    /// (they will time out and may be replayed).
-    Immediate,
-    /// T-Storm semantics (Section IV-D): new workers start first, old
-    /// workers are shut down after a delay, spouts halt until bolts are
-    /// ready, and the per-slot dispatcher routes by assignment id — no
-    /// tuple loss.
-    Smooth,
-}
-
-/// Re-assignment timing parameters (Sections IV-C/IV-D).
+/// Re-assignment timing parameters (Sections IV-C/IV-D). Which rollout
+/// runs is chosen by the entry point, not configured:
+/// [`Simulation::submit_assignment`](crate::Simulation::submit_assignment)
+/// is Storm's kill-and-restart at the next poll,
+/// [`Simulation::apply_assignment_for_node`](crate::Simulation::apply_assignment_for_node)
+/// is T-Storm's smooth per-node switch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReassignConfig {
-    /// Rollout semantics.
-    pub mode: ReassignMode,
     /// How often supervisors check for a new assignment (paper: 10 s).
     pub supervisor_poll: SimTime,
     /// Time for a freshly started worker (JVM) to become ready.
     pub worker_startup: SimTime,
-    /// Smooth mode: how long old workers linger before shutdown
-    /// (paper: 20 s = 2 × the checking period).
-    pub old_worker_linger: SimTime,
-    /// Smooth mode: extra delay before spouts resume after the switch
-    /// (paper: 10 s).
+    /// Smooth rollout: extra delay before spouts resume after the
+    /// switch (paper: 10 s).
     pub spout_halt_extra: SimTime,
 }
 
 impl Default for ReassignConfig {
     fn default() -> Self {
         Self {
-            mode: ReassignMode::Smooth,
             supervisor_poll: SimTime::from_secs(10),
             worker_startup: SimTime::from_secs(2),
-            old_worker_linger: SimTime::from_secs(20),
             spout_halt_extra: SimTime::from_secs(10),
-        }
-    }
-}
-
-impl ReassignConfig {
-    /// Storm-default rollout (kill and restart immediately).
-    #[must_use]
-    pub fn storm() -> Self {
-        Self {
-            mode: ReassignMode::Immediate,
-            ..Self::default()
         }
     }
 }
@@ -181,13 +154,6 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style re-assignment mode override.
-    #[must_use]
-    pub fn with_reassign_mode(mut self, mode: ReassignMode) -> Self {
-        self.reassign.mode = mode;
-        self
-    }
-
     /// Builder-style transfer-batching threshold override. A value of
     /// `0` is treated as `1` (batching disabled) by the engine.
     #[must_use]
@@ -205,10 +171,8 @@ mod tests {
     fn defaults_match_paper_table_ii() {
         let c = SimConfig::default();
         assert_eq!(c.reassign.supervisor_poll, SimTime::from_secs(10));
-        assert_eq!(c.reassign.old_worker_linger, SimTime::from_secs(20));
         assert_eq!(c.reassign.spout_halt_extra, SimTime::from_secs(10));
         assert_eq!(c.network.nic_bits_per_sec, 1_000_000_000);
-        assert_eq!(c.reassign.mode, ReassignMode::Smooth);
     }
 
     #[test]
@@ -221,18 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn storm_reassign_is_immediate() {
-        assert_eq!(ReassignConfig::storm().mode, ReassignMode::Immediate);
-    }
-
-    #[test]
     fn builders_override() {
-        let c = SimConfig::default()
-            .with_seed(7)
-            .with_reassign_mode(ReassignMode::Immediate)
-            .with_batch_size(16);
+        let c = SimConfig::default().with_seed(7).with_batch_size(16);
         assert_eq!(c.seed, 7);
-        assert_eq!(c.reassign.mode, ReassignMode::Immediate);
         assert_eq!(c.batch_size, 16);
     }
 

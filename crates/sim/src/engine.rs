@@ -1,21 +1,25 @@
 //! The simulation engine: executors, workers, acking, timeouts,
 //! supervisors and metrics, driven by a deterministic event queue.
+//! Assignment rollout lives in `engine/rollout.rs` and fault injection
+//! in `engine/faults.rs`.
 
-use crate::config::{ReassignMode, SimConfig};
+use crate::config::SimConfig;
 use crate::event::{BatchEnvelope, Envelope, EnvelopeKind, Event, EventQueue};
-use crate::fault::{FaultKind, FaultPlan};
 use crate::logic::ExecutorLogic;
 use crate::network::{classify, HopClass, Network};
 use crate::routing::{group_tasks_by_destination, select_tasks_into, RouteRule};
-use std::collections::{BTreeSet, VecDeque};
-use tstorm_cluster::{Assignment, AssignmentDiff, ClusterSpec};
+use std::collections::VecDeque;
+use tstorm_cluster::{Assignment, ClusterSpec};
 use tstorm_metrics::RunReport;
 use tstorm_topology::{ComponentSpec, CostProfile, ExecutionPlan, SharedValues, Topology, Value};
 use tstorm_trace::{extend_span, CriticalPathCollector, Observer, SpanChain, SpanSeg, TraceEvent};
 use tstorm_types::{
-    Bytes, ComponentId, DetRng, ExecutorId, FxHashMap, FxHashSet, NodeId, Result, SimTime, Slab,
-    SlabHandle, SlotId, TStormError, TopologyId, TupleId,
+    Bytes, ComponentId, DetRng, ExecutorId, FxHashMap, FxHashSet, NodeId, SimTime, Slab,
+    SlabHandle, SlotId, TopologyId, TupleId,
 };
+
+mod faults;
+mod rollout;
 
 /// Upper bound on recycled boxes retained by each free-list pool (the
 /// per-tuple envelope pool and the batch-envelope pool). A pool never
@@ -244,10 +248,6 @@ impl EngineStats {
     }
 }
 
-/// What a per-node assignment apply would change: executors moving onto
-/// the node (with their target slot) and executors leaving it.
-type NodeSliceChanges = (Vec<(ExecutorId, SlotId)>, Vec<ExecutorId>);
-
 /// One outgoing stream edge, resolved for routing. The grouping is
 /// pre-resolved into a `Copy` [`RouteRule`] so no field-name vectors are
 /// cloned per topology submission or touched per tuple.
@@ -404,8 +404,6 @@ pub struct Simulation {
     current: Assignment,
     /// Assignment submitted to Nimbus, not yet picked up by supervisors.
     pending: Option<Assignment>,
-    /// Smooth transition in progress: target assignment.
-    switching_to: Option<Assignment>,
     /// Per-node smooth transition in progress: the target assignment one
     /// node's supervisor is rolling out while its workers pre-start.
     /// Other nodes may be running a different epoch at the same time.
@@ -435,7 +433,6 @@ pub struct Simulation {
     emitted: u64,
     dropped_in_flight: u64,
     reassignments: u32,
-    worker_failures: u32,
     events_processed: u64,
     observer: Observer,
     /// Streaming critical-path analyzer. `None` (the default) keeps the
@@ -522,7 +519,6 @@ impl Simulation {
             clock_inversions: 0,
             current: Assignment::new(),
             pending: None,
-            switching_to: None,
             node_switching_to: vec![None; k],
             nimbus_down: false,
             heartbeat_muted: vec![false; k],
@@ -538,7 +534,6 @@ impl Simulation {
             emitted: 0,
             dropped_in_flight: 0,
             reassignments: 0,
-            worker_failures: 0,
             events_processed: 0,
             observer: Observer::disabled(),
             spans: None,
@@ -585,12 +580,6 @@ impl Simulation {
     #[must_use]
     pub fn spans(&self) -> Option<&CriticalPathCollector> {
         self.spans.as_deref()
-    }
-
-    /// True when span collection is enabled.
-    #[must_use]
-    pub fn spans_enabled(&self) -> bool {
-        self.spans.is_some()
     }
 
     /// Submits a topology; executors are created but remain unassigned
@@ -705,246 +694,6 @@ impl Simulation {
         }
     }
 
-    /// Applies an assignment immediately (the initial schedule): all
-    /// executors relocate, workers start after the configured startup
-    /// delay, spouts begin emitting once their worker is ready.
-    pub fn apply_assignment(&mut self, assignment: &Assignment) {
-        let old_slots = self.current.slots_used();
-        let diff = self.current.diff(assignment);
-        let ready_at = self.clock + self.config.reassign.worker_startup;
-        for i in 0..self.executors.len() {
-            let id = ExecutorId::new(i as u32);
-            let slot = assignment.slot_of(id);
-            let exec = &mut self.executors[i];
-            exec.location = slot;
-            if slot.is_some() {
-                exec.paused_until = Some(ready_at);
-                self.queue.push(ready_at, Event::ExecutorResume(id));
-            }
-        }
-        self.current = assignment.clone();
-        self.note_assignment_change(&old_slots, &diff);
-        self.recompute_node_stats();
-        self.record_usage();
-    }
-
-    /// Emits the worker/assignment trace events and counters for a
-    /// just-applied assignment (`self.current` must already hold it).
-    fn note_assignment_change(&mut self, old_slots: &BTreeSet<SlotId>, diff: &AssignmentDiff) {
-        self.assignment_version += 1;
-        let version = self.assignment_version;
-        self.emit_trace(|| TraceEvent::AssignmentApplied {
-            version,
-            moved: diff.moved.len() as u64,
-            added: diff.added.len() as u64,
-            removed: diff.removed.len() as u64,
-        });
-        let new_slots = self.current.slots_used();
-        for slot in new_slots.difference(old_slots) {
-            let node = self.cluster.node_of(*slot).index();
-            let worker = slot.index();
-            self.emit_trace(|| TraceEvent::WorkerStart { node, worker });
-        }
-        for slot in old_slots.difference(&new_slots) {
-            let node = self.cluster.node_of(*slot).index();
-            let worker = slot.index();
-            self.emit_trace(|| TraceEvent::WorkerStop { node, worker });
-        }
-        self.observer.metrics(|m| {
-            m.inc_counter(
-                "tstorm_assignments_applied_total",
-                "Assignments applied to the cluster",
-                &[],
-                1,
-            );
-        });
-        // A fault is pending recovery: the first assignment that places
-        // or moves executors afterwards is the recovery placement.
-        let placed = (diff.added.len() + diff.moved.len()) as u64;
-        if self.recovery_fault_at.is_some() && !self.recovery_reassigned && placed > 0 {
-            self.recovery_reassigned = true;
-            self.emit_trace(|| TraceEvent::ExecutorsReassigned {
-                version,
-                count: placed,
-            });
-            self.observer.metrics(|m| {
-                m.inc_counter(
-                    "tstorm_recovery_reassignments_total",
-                    "Assignments that re-placed executors after a fault",
-                    &[],
-                    1,
-                );
-            });
-        }
-    }
-
-    /// Submits a new assignment to Nimbus; supervisors pick it up at their
-    /// next poll and roll it out per the configured
-    /// [`ReassignMode`] setting.
-    pub fn submit_assignment(&mut self, assignment: &Assignment) {
-        self.pending = Some(assignment.clone());
-    }
-
-    /// Applies the slice of `target` that one node's supervisor is
-    /// responsible for, leaving every other node on whatever epoch it
-    /// last applied — the per-node half of a staggered rollout.
-    ///
-    /// The node picks up executors whose *new* slot lives on it
-    /// (including executors currently unplaced or hosted elsewhere) and
-    /// retires executors it currently hosts that `target` no longer
-    /// places anywhere. Executors moving *off* this node to another one
-    /// are left alone: the destination node's own apply collects them,
-    /// so mid-rollout the cluster briefly runs a mix of epochs, as real
-    /// Storm supervisors do.
-    ///
-    /// Returns `true` when the slice actually changed placements (which
-    /// also counts as a reassignment); a no-op apply — the node was
-    /// already running its slice of `target` — returns `false`.
-    pub fn apply_assignment_for_node(&mut self, node: NodeId, target: &Assignment) -> bool {
-        if self.node_slice_changes(node, target).is_none() {
-            return false;
-        }
-        self.reassignments += 1;
-        match self.config.reassign.mode {
-            ReassignMode::Immediate => self.node_rollout_immediate(node, target),
-            ReassignMode::Smooth => self.node_rollout_smooth(node, target),
-        }
-        true
-    }
-
-    /// The executors a per-node apply would touch: `(incoming, retired)`
-    /// — or `None` when the node already runs its slice of `target`.
-    fn node_slice_changes(&self, node: NodeId, target: &Assignment) -> Option<NodeSliceChanges> {
-        let mut incoming = Vec::new();
-        let mut retired = Vec::new();
-        for (i, e) in self.executors.iter().enumerate() {
-            if !e.alive {
-                continue;
-            }
-            let id = ExecutorId::new(i as u32);
-            let new_slot = target.slot_of(id);
-            match new_slot {
-                Some(s) if self.cluster.node_of(s) == node => {
-                    if e.location != Some(s) {
-                        incoming.push((id, s));
-                    }
-                }
-                None => {
-                    if e.location.is_some_and(|s| self.cluster.node_of(s) == node) {
-                        retired.push(id);
-                    }
-                }
-                Some(_) => {} // moving to (or staying on) another node
-            }
-        }
-        if incoming.is_empty() && retired.is_empty() {
-            None
-        } else {
-            Some((incoming, retired))
-        }
-    }
-
-    /// Immediate-mode per-node apply: the node's supervisor kills and
-    /// restarts the affected workers right away; their queued work is
-    /// lost (Storm 0.8 semantics, but scoped to one node).
-    fn node_rollout_immediate(&mut self, node: NodeId, target: &Assignment) {
-        let Some((incoming, retired)) = self.node_slice_changes(node, target) else {
-            return;
-        };
-        let before = self.current.clone();
-        let old_slots = before.slots_used();
-        let ready_at = self.clock + self.config.reassign.worker_startup;
-        for &(id, slot) in &incoming {
-            let i = id.as_usize();
-            if let Some(work) = self.executors[i].busy.take() {
-                self.release_cpu(work.busy_node);
-                if let Some(env) = work.env {
-                    self.recycle_envelope(env);
-                }
-            }
-            self.drain_queue_to_pool(i);
-            self.drop_pending_outbound(i);
-            let e = &mut self.executors[i];
-            e.epoch += 1;
-            e.location = Some(slot);
-            e.paused_until = Some(ready_at);
-            self.current.assign(id, slot);
-            self.queue.push(ready_at, Event::ExecutorResume(id));
-        }
-        for &id in &retired {
-            let i = id.as_usize();
-            if let Some(work) = self.executors[i].busy.take() {
-                self.release_cpu(work.busy_node);
-                if let Some(env) = work.env {
-                    self.recycle_envelope(env);
-                }
-            }
-            self.drain_queue_to_pool(i);
-            self.drop_pending_outbound(i);
-            let e = &mut self.executors[i];
-            e.epoch += 1;
-            e.location = None;
-            e.paused_until = None;
-            self.current.unassign(id);
-        }
-        let diff = before.diff(&self.current);
-        self.note_assignment_change(&old_slots, &diff);
-        self.recompute_node_stats();
-        self.record_usage();
-    }
-
-    /// Smooth-mode per-node apply (Section IV-D, scoped to one node):
-    /// the node's new workers pre-start, every spout halts until they
-    /// are ready, and the node's locations switch in one step once the
-    /// startup delay elapses.
-    fn node_rollout_smooth(&mut self, node: NodeId, target: &Assignment) {
-        let switch_at = self.clock + self.config.reassign.worker_startup;
-        let resume_at = switch_at + self.config.reassign.spout_halt_extra;
-        for e in &mut self.executors {
-            if e.is_spout && e.alive {
-                e.spout_halt_until = e.spout_halt_until.max(resume_at);
-            }
-        }
-        self.node_switching_to[node.as_usize()] = Some(target.clone());
-        self.queue.push(switch_at, Event::NodeLocationSwitch(node));
-    }
-
-    /// One node's smooth switch fires: apply its pending slice. The
-    /// slice is recomputed against the *current* state so interleaved
-    /// applies from other nodes (possibly of newer epochs) stay sound.
-    fn on_node_location_switch(&mut self, node: NodeId) {
-        let Some(target) = self.node_switching_to[node.as_usize()].take() else {
-            return;
-        };
-        let Some((incoming, retired)) = self.node_slice_changes(node, &target) else {
-            return;
-        };
-        let before = self.current.clone();
-        let old_slots = before.slots_used();
-        for &(id, slot) in &incoming {
-            self.executors[id.as_usize()].location = Some(slot);
-            self.current.assign(id, slot);
-        }
-        for &id in &retired {
-            self.executors[id.as_usize()].location = None;
-            self.current.unassign(id);
-        }
-        let diff = before.diff(&self.current);
-        self.note_assignment_change(&old_slots, &diff);
-        self.recompute_node_stats();
-        self.record_usage();
-        // Kick the relocated executors awake under their new placement.
-        for &(id, _) in &incoming {
-            let i = id.as_usize();
-            if self.is_available(i) {
-                self.try_start(id);
-                if self.executors[i].is_spout {
-                    self.schedule_tick(id, self.executors[i].spout_halt_until);
-                }
-            }
-        }
-    }
-
     /// Runs the simulation until the given virtual time.
     pub fn run_until(&mut self, until: SimTime) {
         while let Some(t) = self.queue.peek_time() {
@@ -1055,8 +804,8 @@ impl Simulation {
         self.emitted
     }
 
-    /// Messages dropped because their destination worker was killed by a
-    /// re-assignment (Immediate mode only).
+    /// Messages dropped because their destination worker was killed by
+    /// Storm's kill-and-restart rollout.
     #[must_use]
     pub fn dropped_in_flight(&self) -> u64 {
         self.dropped_in_flight
@@ -1084,12 +833,6 @@ impl Simulation {
     #[must_use]
     pub fn reassignments(&self) -> u32 {
         self.reassignments
-    }
-
-    /// Number of injected worker failures handled so far.
-    #[must_use]
-    pub fn worker_failures(&self) -> u32 {
-        self.worker_failures
     }
 
     /// Total simulation events processed — the simulator's work measure
@@ -1152,128 +895,11 @@ impl Simulation {
         self.record_usage();
     }
 
-    /// Schedules a worker crash at `at` (fault injection; Section II of
-    /// the paper describes Storm's handling). Recoverable crashes are
-    /// restarted in place by the supervisor after the worker startup
-    /// delay; unrecoverable ones make Nimbus move the slot's executors to
-    /// a free slot on a different node (they stay down if none exists).
-    /// Queued and in-flight work of the crashed worker is lost either
-    /// way; anchored tuples time out and may be replayed.
-    pub fn inject_worker_failure(&mut self, slot: SlotId, at: SimTime, recoverable: bool) {
-        self.queue
-            .push(at, Event::WorkerFailure { slot, recoverable });
-    }
-
-    /// Schedules every event of a [`FaultPlan`]. Unlike
-    /// [`Simulation::inject_worker_failure`], fault-plan crashes never
-    /// restart in place: the engine drops the workers' state and marks
-    /// node liveness, and recovery is the control plane's job (detect
-    /// orphaned executors, re-run the scheduler, apply the new
-    /// assignment). Node crashes with a `restart` rejoin later; NIC
-    /// slowdowns restore automatically after their duration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TStormError::InvalidConfig`] if a fault targets a node
-    /// or node-local slot outside the cluster.
-    pub fn apply_fault_plan(&mut self, plan: &FaultPlan) -> Result<()> {
-        for event in plan.events() {
-            if let Some(node) = event.kind.node() {
-                if node.as_usize() >= self.cluster.num_nodes() {
-                    return Err(TStormError::invalid_config(
-                        "--fault",
-                        format!(
-                            "{} targets node {node}, but the cluster has {} nodes",
-                            event.kind.name(),
-                            self.cluster.num_nodes()
-                        ),
-                    ));
-                }
-            }
-            match event.kind {
-                FaultKind::WorkerCrash {
-                    node, local_slot, ..
-                } => {
-                    let slots = self.cluster.node(node).num_slots;
-                    if local_slot >= slots {
-                        return Err(TStormError::invalid_config(
-                            "--fault",
-                            format!("node {node} has {slots} slots, no local slot {local_slot}"),
-                        ));
-                    }
-                }
-                FaultKind::NodeCrash {
-                    node,
-                    restart_after,
-                } => {
-                    if let Some(after) = restart_after {
-                        self.queue.push(event.at + after, Event::NodeRestart(node));
-                    }
-                }
-                FaultKind::NicSlowdown { node, duration, .. } => {
-                    self.queue
-                        .push(event.at + duration, Event::NicRestore(node));
-                }
-                FaultKind::NimbusCrash { duration } => {
-                    self.queue.push(event.at + duration, Event::NimbusRestore);
-                }
-                FaultKind::HeartbeatLoss { node, duration } => {
-                    self.queue
-                        .push(event.at + duration, Event::HeartbeatRestore(node));
-                }
-            }
-            self.queue.push(event.at, Event::Fault(event.kind.clone()));
-        }
-        Ok(())
-    }
-
     /// The cluster as the simulator sees it, including node liveness
     /// updated by fault events.
     #[must_use]
     pub fn cluster(&self) -> &ClusterSpec {
         &self.cluster
-    }
-
-    /// True while a [`FaultKind::NimbusCrash`] window is open — the
-    /// control plane must make no generation/recovery decisions.
-    #[must_use]
-    pub fn nimbus_down(&self) -> bool {
-        self.nimbus_down
-    }
-
-    /// True while a [`FaultKind::HeartbeatLoss`] window mutes this
-    /// node's heartbeat stream (the node itself keeps working).
-    #[must_use]
-    pub fn heartbeat_suppressed(&self, node: NodeId) -> bool {
-        self.heartbeat_muted[node.as_usize()]
-    }
-
-    /// Live executors the current assignment does not place anywhere —
-    /// the signal the control plane watches to detect that a crash
-    /// orphaned executors and a recovery schedule is needed.
-    #[must_use]
-    pub fn unplaced_executors(&self) -> usize {
-        self.executors
-            .iter()
-            .enumerate()
-            .filter(|(i, e)| e.alive && self.current.slot_of(ExecutorId::new(*i as u32)).is_none())
-            .count()
-    }
-
-    /// Fault-plan events fired so far.
-    #[must_use]
-    pub fn faults_injected(&self) -> u32 {
-        self.faults_injected
-    }
-
-    /// Tuples destroyed by fault-plan crashes: queued or in service at
-    /// the crash instant, plus in-flight messages dropped because the
-    /// crash left their destination (or source) unplaced. Routine drops
-    /// from scheduler-driven relocation stay in
-    /// [`Simulation::dropped_in_flight`].
-    #[must_use]
-    pub fn tuples_lost(&self) -> u64 {
-        self.tuples_lost
     }
 
     /// Timed-out tuples re-queued for spout replay.
@@ -1321,12 +947,7 @@ impl Simulation {
             Event::ProcessDone(id) => self.on_process_done(id),
             Event::TupleTimeout(root) => self.on_timeout(root),
             Event::SupervisorPoll => self.on_supervisor_poll(),
-            Event::LocationSwitch => self.on_location_switch(),
             Event::ExecutorResume(id) => self.on_resume(id),
-            Event::WorkerReady(_) => {}
-            Event::WorkerFailure { slot, recoverable } => {
-                self.on_worker_failure(slot, recoverable);
-            }
             Event::Fault(kind) => self.on_fault(&kind),
             Event::NodeRestart(node) => self.on_node_restart(node),
             Event::NicRestore(node) => self.on_nic_restore(node),
@@ -1424,7 +1045,7 @@ impl Simulation {
             // The destination worker was killed while this message was in
             // flight. If the executor crashed and has not been re-placed
             // yet, the fault destroyed this tuple; otherwise it is a
-            // routine re-assignment drop (Storm Immediate mode).
+            // routine re-assignment drop (Storm's kill-and-restart).
             if self.faults_injected > 0 && self.executors[idx].location.is_none() {
                 self.note_tuple_lost(1);
             } else {
@@ -2378,376 +1999,6 @@ impl Simulation {
                     1,
                 );
             });
-        }
-    }
-
-    fn on_supervisor_poll(&mut self) {
-        self.queue.push(
-            self.clock + self.config.reassign.supervisor_poll,
-            Event::SupervisorPoll,
-        );
-        if self.observer.is_enabled() {
-            // Sample queue occupancy on the supervisor grid: cheap, and
-            // frequent enough to catch sustained backlog.
-            let depths: Vec<(usize, usize)> = self
-                .executors
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (i, e.queue.len()))
-                .collect();
-            self.observer.metrics(|m| {
-                for (i, depth) in depths {
-                    m.set_gauge(
-                        "tstorm_queue_depth",
-                        "Executor receive-queue depth at the last supervisor poll",
-                        &[("executor", &i.to_string())],
-                        depth as f64,
-                    );
-                }
-            });
-        }
-        let Some(pending) = self.pending.take() else {
-            return;
-        };
-        if pending == self.current {
-            return;
-        }
-        self.reassignments += 1;
-        match self.config.reassign.mode {
-            ReassignMode::Immediate => self.rollout_immediate(&pending),
-            ReassignMode::Smooth => self.rollout_smooth(pending),
-        }
-    }
-
-    /// Storm 0.8 semantics: supervisors kill every worker whose executor
-    /// set changed and start replacements; queued work and in-flight
-    /// messages to those workers are lost.
-    fn rollout_immediate(&mut self, new: &Assignment) {
-        let old_slots = self.current.slots_used();
-        let diff = self.current.diff(new);
-        let ready_at = self.clock + self.config.reassign.worker_startup;
-        for i in 0..self.executors.len() {
-            let id = ExecutorId::new(i as u32);
-            let old_slot = self.executors[i].location;
-            let new_slot = new.slot_of(id);
-            let affected = old_slot != new_slot
-                || old_slot.is_some_and(|s| diff.changed_slots.contains(&s))
-                || new_slot.is_some_and(|s| diff.changed_slots.contains(&s));
-            self.executors[i].location = new_slot;
-            if affected {
-                if let Some(work) = self.executors[i].busy.take() {
-                    // In-service work is lost with the worker.
-                    self.release_cpu(work.busy_node);
-                    if let Some(env) = work.env {
-                        self.recycle_envelope(env);
-                    }
-                }
-                self.drain_queue_to_pool(i);
-                self.drop_pending_outbound(i);
-                let e = &mut self.executors[i];
-                e.epoch += 1;
-                if new_slot.is_some() {
-                    e.paused_until = Some(ready_at);
-                    self.queue.push(ready_at, Event::ExecutorResume(id));
-                }
-            }
-        }
-        self.current = new.clone();
-        self.note_assignment_change(&old_slots, &diff);
-        self.recompute_node_stats();
-        self.record_usage();
-    }
-
-    /// T-Storm semantics (Section IV-D): new workers start first
-    /// (locations switch once they are ready), old workers linger so
-    /// nothing is lost, and spouts halt until bolts are ready.
-    fn rollout_smooth(&mut self, new: Assignment) {
-        let switch_at = self.clock + self.config.reassign.worker_startup;
-        let resume_at = switch_at + self.config.reassign.spout_halt_extra;
-        for e in &mut self.executors {
-            if e.is_spout {
-                e.spout_halt_until = resume_at;
-            }
-        }
-        self.switching_to = Some(new);
-        self.queue.push(switch_at, Event::LocationSwitch);
-    }
-
-    fn on_location_switch(&mut self) {
-        let Some(new) = self.switching_to.take() else {
-            return;
-        };
-        let old_slots = self.current.slots_used();
-        let diff = self.current.diff(&new);
-        for i in 0..self.executors.len() {
-            let id = ExecutorId::new(i as u32);
-            self.executors[i].location = new.slot_of(id);
-        }
-        self.current = new;
-        self.note_assignment_change(&old_slots, &diff);
-        self.recompute_node_stats();
-        self.record_usage();
-        // Kick everything awake under the new placement.
-        for i in 0..self.executors.len() {
-            let id = ExecutorId::new(i as u32);
-            if self.is_available(i) {
-                self.try_start(id);
-                if self.executors[i].is_spout {
-                    self.schedule_tick(id, self.executors[i].spout_halt_until);
-                }
-            }
-        }
-    }
-
-    fn on_worker_failure(&mut self, slot: SlotId, recoverable: bool) {
-        let victims: Vec<usize> = self
-            .executors
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.location == Some(slot))
-            .map(|(i, _)| i)
-            .collect();
-        if victims.is_empty() {
-            return; // empty slot: nothing to kill
-        }
-        self.worker_failures += 1;
-        {
-            let node = self.cluster.node_of(slot).index();
-            let worker = slot.index();
-            self.emit_trace(|| TraceEvent::WorkerStop { node, worker });
-            self.observer.metrics(|m| {
-                m.inc_counter(
-                    "tstorm_worker_failures_total",
-                    "Injected worker crashes handled",
-                    &[],
-                    1,
-                );
-            });
-        }
-
-        // An unrecoverable crash relocates the whole worker to a free
-        // slot on another node, if one exists.
-        let new_slot = if recoverable {
-            Some(slot)
-        } else {
-            let node = self.cluster.node_of(slot);
-            let used = self.current.slots_used();
-            self.cluster
-                .slots()
-                .iter()
-                .find(|s| s.node != node && !used.contains(&s.slot))
-                .map(|s| s.slot)
-        };
-
-        if let Some(s) = new_slot {
-            let node = self.cluster.node_of(s).index();
-            let worker = s.index();
-            self.emit_trace(|| TraceEvent::WorkerStart { node, worker });
-        }
-        let ready_at = self.clock + self.config.reassign.worker_startup;
-        for i in victims {
-            if let Some(work) = self.executors[i].busy.take() {
-                self.release_cpu(work.busy_node);
-                if let Some(env) = work.env {
-                    self.recycle_envelope(env);
-                }
-            }
-            self.drain_queue_to_pool(i);
-            self.drop_pending_outbound(i);
-            let id = ExecutorId::new(i as u32);
-            let e = &mut self.executors[i];
-            e.epoch += 1;
-            e.location = new_slot;
-            match new_slot {
-                Some(s) => {
-                    e.paused_until = Some(ready_at);
-                    self.current.assign(id, s);
-                    self.queue.push(ready_at, Event::ExecutorResume(id));
-                }
-                None => {
-                    // Nowhere to restart: the executor stays down until a
-                    // future assignment places it.
-                    self.current.unassign(id);
-                }
-            }
-        }
-        self.recompute_node_stats();
-        self.record_usage();
-    }
-
-    /// One fault-plan event fires. Crashes drop worker state and leave
-    /// the victims unassigned — the monitoring loop notices at its next
-    /// round and re-runs the scheduler against the shrunken cluster.
-    fn on_fault(&mut self, kind: &FaultKind) {
-        self.faults_injected += 1;
-        let node = kind.node();
-        // Resolve a worker crash's slot exactly once: the `FaultInjected`
-        // trace event and the crash below must name the same slot, and
-        // `slots_of(..).nth(..)` is an O(slots) walk.
-        let crashed_slot = match kind {
-            FaultKind::WorkerCrash { node, local_slot } => Some(
-                self.cluster
-                    .slots_of(*node)
-                    .nth(*local_slot as usize)
-                    .map(|s| s.slot)
-                    .expect("validated by apply_fault_plan"),
-            ),
-            _ => None,
-        };
-        let worker = crashed_slot.map(|s| s.index());
-        let name = kind.name();
-        self.emit_trace(|| TraceEvent::FaultInjected {
-            kind: name.to_owned(),
-            node: node.map(|n| n.index()),
-            worker,
-        });
-        self.observer.metrics(|m| {
-            m.inc_counter(
-                "tstorm_faults_injected_total",
-                "Fault-plan events fired",
-                &[("kind", name)],
-                1,
-            );
-        });
-        match kind {
-            FaultKind::WorkerCrash { .. } => {
-                let slot = crashed_slot.expect("resolved above for the trace event");
-                self.recovery_fault_at = Some(self.clock);
-                self.recovery_reassigned = false;
-                self.crash_slot(slot);
-                self.recompute_node_stats();
-                self.record_usage();
-            }
-            FaultKind::NodeCrash { node, .. } => {
-                self.cluster.set_node_live(*node, false);
-                self.recovery_fault_at = Some(self.clock);
-                self.recovery_reassigned = false;
-                let slots: Vec<SlotId> = self.cluster.slots_of(*node).map(|s| s.slot).collect();
-                for slot in slots {
-                    self.crash_slot(slot);
-                }
-                self.recompute_node_stats();
-                self.record_usage();
-            }
-            FaultKind::NicSlowdown { node, factor, .. } => {
-                self.network.set_slow_factor(*node, *factor);
-            }
-            FaultKind::NimbusCrash { .. } => {
-                self.nimbus_down = true;
-            }
-            FaultKind::HeartbeatLoss { node, .. } => {
-                self.heartbeat_muted[node.as_usize()] = true;
-            }
-        }
-    }
-
-    /// Kills one worker process without restarting it: its executors'
-    /// queued and in-service tuples are destroyed, in-flight messages to
-    /// it will be dropped on delivery (epoch mismatch), and the
-    /// executors stay unassigned until a future assignment places them.
-    fn crash_slot(&mut self, slot: SlotId) {
-        let victims: Vec<usize> = self
-            .executors
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.location == Some(slot))
-            .map(|(i, _)| i)
-            .collect();
-        if victims.is_empty() {
-            return; // empty slot: nothing to kill
-        }
-        {
-            let node = self.cluster.node_of(slot).index();
-            let worker = slot.index();
-            self.emit_trace(|| TraceEvent::WorkerStop { node, worker });
-        }
-        let mut lost = 0u64;
-        for i in victims {
-            if let Some(work) = self.executors[i].busy.take() {
-                self.release_cpu(work.busy_node);
-                lost += 1;
-                if let Some(env) = work.env {
-                    self.recycle_envelope(env);
-                }
-            }
-            lost += self.drain_queue_to_pool(i);
-            lost += self.drop_pending_outbound(i);
-            let e = &mut self.executors[i];
-            e.epoch += 1;
-            e.location = None;
-            e.paused_until = None;
-            self.current.unassign(ExecutorId::new(i as u32));
-        }
-        self.note_tuple_lost(lost);
-    }
-
-    /// Counts tuples destroyed by a fault — at the crash instant or
-    /// dropped later because a crash left their destination unplaced.
-    fn note_tuple_lost(&mut self, n: u64) {
-        self.tuples_lost += n;
-        self.observer.metrics(|m| {
-            m.inc_counter(
-                "tstorm_tuples_lost_total",
-                "Queued or in-service tuples destroyed by crashes",
-                &[],
-                n,
-            );
-        });
-    }
-
-    /// A crashed node rejoins: its slots become schedulable again. No
-    /// executors move here — the next schedule generation may use it.
-    fn on_node_restart(&mut self, node: NodeId) {
-        self.cluster.set_node_live(node, true);
-        self.emit_trace(|| TraceEvent::FaultInjected {
-            kind: "node_restart".to_owned(),
-            node: Some(node.index()),
-            worker: None,
-        });
-    }
-
-    /// A Nimbus-crash window ends: the control plane may generate and
-    /// recover again from its next decision point onwards.
-    fn on_nimbus_restore(&mut self) {
-        self.nimbus_down = false;
-        self.emit_trace(|| TraceEvent::FaultInjected {
-            kind: "nimbus_restored".to_owned(),
-            node: None,
-            worker: None,
-        });
-    }
-
-    /// A heartbeat-loss window ends: the node's next heartbeat reaches
-    /// Nimbus again and reconciliation can begin.
-    fn on_heartbeat_restore(&mut self, node: NodeId) {
-        self.heartbeat_muted[node.as_usize()] = false;
-        self.emit_trace(|| TraceEvent::FaultInjected {
-            kind: "heartbeat_restored".to_owned(),
-            node: Some(node.index()),
-            worker: None,
-        });
-    }
-
-    /// A transient NIC slowdown ends.
-    fn on_nic_restore(&mut self, node: NodeId) {
-        self.network.set_slow_factor(node, 1.0);
-        self.emit_trace(|| TraceEvent::FaultInjected {
-            kind: "nic_restored".to_owned(),
-            node: Some(node.index()),
-            worker: None,
-        });
-    }
-
-    fn on_resume(&mut self, id: ExecutorId) {
-        let idx = id.as_usize();
-        if let Some(t) = self.executors[idx].paused_until {
-            if t <= self.clock {
-                self.executors[idx].paused_until = None;
-            }
-        }
-        self.try_start(id);
-        if self.executors[idx].is_spout {
-            self.schedule_tick(id, self.clock);
         }
     }
 

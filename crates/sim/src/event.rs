@@ -13,7 +13,7 @@
 use crate::fault::FaultKind;
 use tstorm_topology::SharedValues;
 use tstorm_trace::SpanChain;
-use tstorm_types::{ExecutorId, NodeId, SimTime, SlabHandle, SlotId, TupleId};
+use tstorm_types::{ExecutorId, NodeId, SimTime, SlabHandle, TupleId};
 
 /// Routing/acking metadata carried by every in-flight message.
 ///
@@ -46,7 +46,7 @@ pub struct Envelope {
     pub root_handle: Option<SlabHandle>,
     /// Restart epoch of the destination executor at send time; a message
     /// addressed to an older epoch was in flight when Storm killed the
-    /// worker and is dropped on delivery (Immediate mode only).
+    /// worker and is dropped on delivery.
     pub dst_epoch: u32,
     /// What the message is.
     pub kind: EnvelopeKind,
@@ -128,26 +128,11 @@ pub enum Event {
     TupleTimeout(SlabHandle),
     /// Supervisors poll for a new assignment.
     SupervisorPoll,
-    /// Smooth re-assignment: locations switch to the pending assignment.
-    LocationSwitch,
     /// An executor becomes available again (worker restarted/ready).
     ExecutorResume(ExecutorId),
-    /// A worker slot becomes ready (initial start).
-    WorkerReady(SlotId),
-    /// Fault injection: the worker in this slot crashes. Recoverable
-    /// failures restart in place (Storm: "its supervisor will try to
-    /// restart it on the same worker node"); unrecoverable ones force
-    /// Nimbus to move the executors to a free slot on another node.
-    WorkerFailure {
-        /// The crashing worker's slot.
-        slot: SlotId,
-        /// Whether the supervisor's in-place restart succeeds.
-        recoverable: bool,
-    },
-    /// A scheduled [`FaultKind`] from a fault plan fires. Unlike
-    /// [`Event::WorkerFailure`], recovery is left to the control plane:
-    /// the engine only drops state and marks liveness, and the
-    /// scheduler re-places the orphaned executors.
+    /// A scheduled [`FaultKind`] from a fault plan fires. Recovery is
+    /// left to the control plane: the engine only drops state and marks
+    /// liveness, and the scheduler re-places the orphaned executors.
     Fault(FaultKind),
     /// A crashed node rejoins the cluster.
     NodeRestart(NodeId),

@@ -103,6 +103,19 @@ impl FaultKind {
             FaultKind::NimbusCrash { .. } => None,
         }
     }
+
+    /// How long after it fires the fault is undone: a node's restart
+    /// delay or a window's duration. `None` for a crash nothing undoes.
+    #[must_use]
+    pub fn lasts(&self) -> Option<SimTime> {
+        match self {
+            FaultKind::WorkerCrash { .. } => None,
+            FaultKind::NodeCrash { restart_after, .. } => *restart_after,
+            FaultKind::NicSlowdown { duration, .. }
+            | FaultKind::NimbusCrash { duration }
+            | FaultKind::HeartbeatLoss { duration, .. } => Some(*duration),
+        }
+    }
 }
 
 /// One timed fault.
@@ -232,6 +245,9 @@ pub fn parse_spec(spec: &str) -> Result<FaultEvent, FaultParseError> {
         }
     };
     fields.finish()?;
+    if kind.lasts().is_some_and(|d| at.checked_add(d).is_none()) {
+        return Err(err("ends past the simulated time range".to_owned()));
+    }
     Ok(FaultEvent { at, kind })
 }
 
@@ -300,7 +316,15 @@ impl<'a> Fields<'a> {
     }
 
     fn time(&mut self, key: &str) -> Result<SimTime, FaultParseError> {
-        Ok(SimTime::from_secs_f64(self.float(key)?))
+        let secs = self.float(key)?;
+        // `from_secs_f64` saturates: reject what would not round-trip.
+        if (secs * 1e6).round() >= SimTime::MAX.as_micros() as f64 {
+            return Err(FaultParseError(format!(
+                "--fault `{}`: `{key}` is past the simulated time range",
+                self.spec
+            )));
+        }
+        Ok(SimTime::from_secs_f64(secs))
     }
 
     fn optional_time(&mut self, key: &str) -> Result<Option<SimTime>, FaultParseError> {
@@ -417,6 +441,9 @@ mod tests {
             "nimbus-crash@t=1,node=0,dur=5",        // nimbus has no node
             "heartbeat-loss@t=1,node=0",            // missing dur
             "heartbeat-loss@t=1,dur=5",             // missing node
+            "node-crash@t=1e300,node=1,restart=10", // t past the time range
+            "nimbus-crash@t=1,dur=1e300",           // dur past the range
+            "nimbus-crash@t=1e13,dur=1e13",         // end past the range
         ] {
             let err = parse_spec(bad).expect_err(bad);
             assert!(err.to_string().contains(bad), "{err}");

@@ -5,11 +5,11 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use tstorm_cluster::{Assignment, ClusterSpec};
 use tstorm_sim::{
-    BoltLogic, ConstSpout, ExecutorLogic, IdentityBolt, ReassignMode, SimConfig, Simulation,
-    SpoutLogic,
+    BoltLogic, ConstSpout, ExecutorLogic, FaultEvent, FaultKind, FaultPlan, IdentityBolt,
+    SimConfig, Simulation, SpoutLogic,
 };
 use tstorm_topology::{Grouping, Topology, TopologyBuilder, Value};
-use tstorm_types::{Mhz, SimTime, SlotId};
+use tstorm_types::{Mhz, NodeId, SimTime, SlotId};
 
 fn cluster(nodes: u32, slots: u32) -> ClusterSpec {
     ClusterSpec::homogeneous(nodes, slots, Mhz::new(8000.0)).expect("valid cluster")
@@ -314,18 +314,23 @@ fn fields_grouping_partitions_words_across_executors() {
 
 #[test]
 fn smooth_reassignment_loses_nothing() {
-    let mut sim = Simulation::new(
-        cluster(2, 2),
-        SimConfig::default().with_reassign_mode(ReassignMode::Smooth),
-    );
+    let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
     let mut f = identity_factory();
     sim.submit_topology(&chain_topology(1), &mut f);
     sim.apply_assignment(&all_on_slot(&sim, 0));
     sim.run_until(SimTime::from_secs(30));
-    // Move everything to a slot on the other node.
-    sim.submit_assignment(&all_on_slot(&sim, 2));
+    // Move everything to a slot on the other node, as every supervisor
+    // applying its own slice of the new epoch does.
+    let target = all_on_slot(&sim, 2);
+    let changed: Vec<bool> = (0..2)
+        .map(|n| sim.apply_assignment_for_node(NodeId::new(n), &target))
+        .collect();
+    // Node 0 only loses executors that node 1 collects, so its slice is
+    // a no-op; node 1 picks everything up.
+    assert_eq!(changed, [false, true]);
     sim.run_until(SimTime::from_secs(120));
     assert_eq!(sim.reassignments(), 1);
+    assert_eq!(sim.current_assignment(), &target);
     assert_eq!(sim.dropped_in_flight(), 0, "smooth mode must not drop");
     assert_eq!(sim.failed(), 0, "smooth mode must not fail tuples");
     // The system kept completing tuples after the move.
@@ -336,10 +341,7 @@ fn smooth_reassignment_loses_nothing() {
 
 #[test]
 fn immediate_reassignment_drops_in_flight_work() {
-    let mut sim = Simulation::new(
-        cluster(2, 2),
-        SimConfig::default().with_reassign_mode(ReassignMode::Immediate),
-    );
+    let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
     // Many spouts spread over both nodes: inter-node hops keep plenty of
     // messages in flight at the moment supervisors kill the workers.
     let topo = TopologyBuilder::new("chain")
@@ -516,81 +518,27 @@ fn all_grouping_broadcasts_to_every_executor() {
     }
 }
 
-#[test]
-fn recoverable_worker_failure_restarts_in_place() {
-    let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
+/// A simulation with the chain topology on slot 0 and the given fault
+/// plan scheduled.
+fn chain_with_faults(nodes: u32, slots: u32, specs: &[&str]) -> Simulation {
+    let mut sim = Simulation::new(cluster(nodes, slots), SimConfig::default());
     let mut f = identity_factory();
     sim.submit_topology(&chain_topology(1), &mut f);
     sim.apply_assignment(&all_on_slot(&sim, 0));
-    sim.inject_worker_failure(SlotId::new(0), SimTime::from_secs(30), true);
-    sim.run_until(SimTime::from_secs(120));
-
-    assert_eq!(sim.worker_failures(), 1);
-    // The worker restarted on the same slot and kept processing.
-    let report = sim.report("x");
-    assert_eq!(report.nodes_used.last(), Some(&1));
-    assert!(report
-        .mean_proc_time_after(SimTime::from_secs(60))
-        .is_some());
-    // In-service/queued work was lost: either dropped in flight or timed
-    // out (and replay re-emitted it).
-    assert!(sim.completed() > 10_000);
+    let plan = FaultPlan::from_specs(specs).expect("valid plan");
+    sim.apply_fault_plan(&plan).expect("plan applies");
+    sim
 }
 
 #[test]
-fn unrecoverable_worker_failure_relocates_to_another_node() {
-    let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
-    let mut f = identity_factory();
-    sim.submit_topology(&chain_topology(1), &mut f);
-    sim.apply_assignment(&all_on_slot(&sim, 0)); // node 0
-    sim.inject_worker_failure(SlotId::new(0), SimTime::from_secs(30), false);
-    sim.run_until(SimTime::from_secs(120));
-
-    assert_eq!(sim.worker_failures(), 1);
-    // Executors moved to a slot on node 1 and processing resumed there.
-    let a = sim.current_assignment();
-    let nodes: std::collections::BTreeSet<_> = a
-        .slots_used()
-        .iter()
-        .map(|s| {
-            ClusterSpec::homogeneous(2, 2, Mhz::new(8000.0))
-                .unwrap()
-                .node_of(*s)
-        })
-        .collect();
-    assert_eq!(nodes.len(), 1);
-    assert!(a.slots_used().iter().all(|s| s.index() >= 2), "{a:?}");
-    assert!(
-        sim.report("x")
-            .mean_proc_time_after(SimTime::from_secs(60))
-            .is_some(),
-        "processing resumed after relocation"
-    );
-}
-
-#[test]
-fn failure_on_empty_slot_is_a_noop() {
-    let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
-    let mut f = identity_factory();
-    sim.submit_topology(&chain_topology(1), &mut f);
-    sim.apply_assignment(&all_on_slot(&sim, 0));
-    sim.inject_worker_failure(SlotId::new(3), SimTime::from_secs(10), true);
-    sim.run_until(SimTime::from_secs(30));
-    assert_eq!(sim.worker_failures(), 0);
-    assert!(sim.completed() > 1000);
-}
-
-#[test]
-fn unrecoverable_failure_without_free_slots_keeps_executors_down() {
-    // Single node, single slot: nowhere to relocate.
-    let mut sim = Simulation::new(cluster(1, 1), SimConfig::default());
-    let mut f = identity_factory();
-    sim.submit_topology(&chain_topology(1), &mut f);
-    sim.apply_assignment(&all_on_slot(&sim, 0));
+fn crashed_executors_stay_down_until_reassigned() {
+    // The engine never restarts a crashed worker: without a control
+    // plane to re-place them, its executors stay down.
+    let mut sim = chain_with_faults(1, 1, &["worker-crash@t=20,node=0,slot=0"]);
     sim.run_until(SimTime::from_secs(20));
     let before = sim.completed();
-    sim.inject_worker_failure(SlotId::new(0), SimTime::from_secs(20), false);
     sim.run_until(SimTime::from_secs(60));
+    assert_eq!(sim.faults_injected(), 1);
     // Nothing can run any more; completions stop (in-flight acks may add
     // a handful right at the failure instant).
     assert!(
@@ -600,6 +548,41 @@ fn unrecoverable_failure_without_free_slots_keeps_executors_down() {
         before
     );
     assert!(sim.current_assignment().is_empty());
+    assert_eq!(sim.unplaced_executors(), sim.executor_descriptors().len());
+}
+
+#[test]
+fn crash_on_an_empty_slot_destroys_nothing() {
+    let mut sim = chain_with_faults(2, 2, &["worker-crash@t=10,node=1,slot=1"]);
+    sim.run_until(SimTime::from_secs(30));
+    assert_eq!(sim.faults_injected(), 1);
+    assert_eq!(sim.tuples_lost(), 0);
+    assert_eq!(sim.unplaced_executors(), 0);
+    assert!(sim.completed() > 1000);
+}
+
+#[test]
+fn fault_ending_past_the_time_range_is_rejected_whole() {
+    let mut plan = FaultPlan::new();
+    plan.push(FaultEvent {
+        at: SimTime::from_secs(5),
+        kind: FaultKind::NimbusCrash {
+            duration: SimTime::from_secs(1),
+        },
+    });
+    plan.push(FaultEvent {
+        at: SimTime::MAX,
+        kind: FaultKind::NodeCrash {
+            node: NodeId::new(0),
+            restart_after: Some(SimTime::from_secs(10)),
+        },
+    });
+    let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
+    let err = sim.apply_fault_plan(&plan).expect_err("restart overflows");
+    assert!(err.to_string().contains("node_crash"), "{err}");
+    // Nothing was queued, not even the valid Nimbus crash before it.
+    sim.run_until(SimTime::from_secs(60));
+    assert_eq!(sim.faults_injected(), 0);
 }
 
 #[test]
@@ -699,10 +682,7 @@ fn tuple_conservation_invariant_holds() {
         }),
         Box::new(|| {
             // Disruptive re-assignment mid-run.
-            let mut sim = Simulation::new(
-                cluster(2, 2),
-                SimConfig::default().with_reassign_mode(ReassignMode::Immediate),
-            );
+            let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
             let mut f = identity_factory();
             sim.submit_topology(&chain_topology(1), &mut f);
             sim.apply_assignment(&spread_over(&sim, &[0, 2]));

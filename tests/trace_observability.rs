@@ -5,6 +5,7 @@
 use std::collections::BTreeSet;
 use tstorm::cluster::ClusterSpec;
 use tstorm::core::{SystemMode, TStormConfig, TStormSystem};
+use tstorm::sim::FaultPlan;
 use tstorm::trace::{EventCategory, JsonlWriter, Observer, SharedSink};
 use tstorm::types::{Mhz, SimTime};
 use tstorm::workloads::throughput::{self, ThroughputParams};
@@ -29,8 +30,9 @@ struct RunResult {
 }
 
 /// Runs the Throughput Test with a scripted mid-run disruption — a
-/// scheduler hot-swap, a γ change, and a recoverable worker failure —
-/// so the control plane and failure paths all leave trace events.
+/// scheduler hot-swap, a γ change, and a worker crash the control plane
+/// recovers from — so the control plane and failure paths all leave
+/// trace events.
 fn disrupted_run(seed: u64, traced: bool) -> RunResult {
     let p = ThroughputParams::small();
     let topo = throughput::topology(&p).expect("valid");
@@ -54,10 +56,23 @@ fn disrupted_run(seed: u64, traced: bool) -> RunResult {
         .iter()
         .next()
         .expect("assignment uses slots");
-    let fail_at = system.simulation().now() + SimTime::from_secs(1);
+    let cluster = system.simulation().cluster();
+    let node = cluster.node_of(victim);
+    let local = cluster
+        .slots_of(node)
+        .find(|s| s.slot == victim)
+        .expect("victim slot is on its node")
+        .local_index;
+    let fail_at = system.simulation().now().as_secs() + 1;
+    let crash = format!(
+        "worker-crash@t={fail_at},node={},slot={local}",
+        node.index()
+    );
+    let plan = FaultPlan::from_specs([crash]).expect("valid fault spec");
     system
         .simulation_mut()
-        .inject_worker_failure(victim, fail_at, true);
+        .apply_fault_plan(&plan)
+        .expect("plan applies");
     system.run_until(SimTime::from_secs(150)).expect("runs");
 
     let jsonl =
@@ -122,7 +137,7 @@ fn trace_covers_every_event_category() {
 
     // The disruption script guarantees at least one event of every
     // category: data plane (tuple/queue/process), worker lifecycle
-    // (initial rollout + injected failure) and the control plane
+    // (initial rollout + worker crash) and the control plane
     // (generation, hot-swap, γ).
     for expected in [
         "tuple_emit",
@@ -136,6 +151,7 @@ fn trace_covers_every_event_category() {
         "assignment_applied",
         "worker_start",
         "worker_stop",
+        "fault_injected",
         "schedule_generated",
         "scheduler_swapped",
         "gamma_changed",
