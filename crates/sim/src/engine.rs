@@ -376,7 +376,7 @@ pub struct Simulation {
     next_tuple: u64,
     next_edge: u64,
     /// Free list of recycled envelope boxes. The `Box` is the point:
-    /// the pool recycles the heap allocation that `Event::Message`
+    /// the pool recycles the heap allocation that `Event::Deliver`
     /// carries, so a pool hit is allocation-free.
     #[allow(clippy::vec_box)]
     env_pool: Vec<Box<Envelope>>,
@@ -696,11 +696,7 @@ impl Simulation {
 
     /// Runs the simulation until the given virtual time.
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > until {
-                break;
-            }
-            let (_, event) = self.queue.pop().expect("peeked");
+        while let Some((t, event)) = self.queue.pop_due(until) {
             self.clock = t;
             self.events_processed += 1;
             self.handle(event);
@@ -849,7 +845,7 @@ impl Simulation {
     }
 
     /// Largest number of events ever pending in the event queue at once
-    /// (the heap high-water mark).
+    /// (the queue's high-water mark).
     #[must_use]
     pub fn queue_high_water(&self) -> usize {
         self.queue.high_water()
@@ -1055,7 +1051,7 @@ impl Simulation {
             return;
         }
         let tuple = env.root.map_or(u64::MAX, TupleId::get);
-        env.delivered_at = self.clock;
+        env.waiting_since = self.clock;
         self.executors[idx].queue.push_back(env);
         let depth = self.executors[idx].queue.len() as u64;
         self.emit_trace(|| TraceEvent::QueueEnter {
@@ -1153,7 +1149,7 @@ impl Simulation {
                     // Attribute the wait since delivery and the service
                     // interval to this executor on the node that ran it.
                     let node = NodeId::new(work.busy_node as u32);
-                    let queued = self.span_micros(work.started_at, env.delivered_at);
+                    let queued = self.span_micros(work.started_at, env.waiting_since);
                     let serviced = self.span_micros(work.done_at, work.started_at);
                     let c = extend_span(&env.chain, SpanSeg::queue(id, node, queued));
                     extend_span(&c, SpanSeg::service(id, node, serviced))
@@ -1283,7 +1279,8 @@ impl Simulation {
             self.send_control(
                 id,
                 acker,
-                EnvelopeKind::AckerInit { xor },
+                EnvelopeKind::AckerInit,
+                xor,
                 root_id,
                 Some(handle),
                 chain,
@@ -1330,9 +1327,8 @@ impl Simulation {
                             self.send_control(
                                 id,
                                 acker,
-                                EnvelopeKind::AckerAck {
-                                    xor: env.edge_id ^ new_xor,
-                                },
+                                EnvelopeKind::AckerAck,
+                                env.edge_id ^ new_xor,
                                 root_id,
                                 Some(handle),
                                 chain,
@@ -1343,10 +1339,10 @@ impl Simulation {
                     }
                 }
             }
-            EnvelopeKind::AckerInit { xor } | EnvelopeKind::AckerAck { xor } => {
+            EnvelopeKind::AckerInit | EnvelopeKind::AckerAck => {
                 let root_id = env.root.expect("acker messages carry a root");
                 let handle = env.root_handle.expect("acker messages carry a root handle");
-                if matches!(env.kind, EnvelopeKind::AckerAck { .. }) {
+                if env.kind == EnvelopeKind::AckerAck {
                     self.emit_trace(|| TraceEvent::Ack {
                         tuple: root_id.get(),
                     });
@@ -1361,8 +1357,8 @@ impl Simulation {
                 }
                 let (done, spout) = match self.roots.get_mut(handle) {
                     Some(r) => {
-                        r.xor ^= xor;
-                        if matches!(env.kind, EnvelopeKind::AckerInit { .. }) {
+                        r.xor ^= env.edge_id;
+                        if env.kind == EnvelopeKind::AckerInit {
                             r.init_seen = true;
                         }
                         (r.init_seen && r.xor == 0, r.spout)
@@ -1371,7 +1367,7 @@ impl Simulation {
                 };
                 if done {
                     self.complete_root(handle, &chain);
-                    self.send_control(id, spout, EnvelopeKind::Complete, root_id, None, None);
+                    self.send_control(id, spout, EnvelopeKind::Complete, 0, root_id, None, None);
                 }
             }
             EnvelopeKind::Complete => {}
@@ -1506,8 +1502,7 @@ impl Simulation {
                         dst_epoch: self.executors[dst.as_usize()].epoch,
                         kind: EnvelopeKind::Data,
                         chain: chain.clone(),
-                        delivered_at: SimTime::ZERO,
-                        staged_at: SimTime::ZERO,
+                        waiting_since: SimTime::ZERO,
                     };
                     if batching {
                         self.stage_tuple(env, Bytes::new(payload));
@@ -1521,11 +1516,15 @@ impl Simulation {
         (xor, count)
     }
 
+    /// Sends an ack-tree control message; `xor` is what an acker message
+    /// folds into its root (0 for [`EnvelopeKind::Complete`]).
+    #[allow(clippy::too_many_arguments)]
     fn send_control(
         &mut self,
         src: ExecutorId,
         dst: ExecutorId,
         kind: EnvelopeKind,
+        xor: u64,
         root: TupleId,
         root_handle: Option<SlabHandle>,
         chain: SpanChain,
@@ -1535,14 +1534,13 @@ impl Simulation {
             src,
             dst,
             dst_task: 0,
-            edge_id: 0,
+            edge_id: xor,
             root: Some(root),
             root_handle,
             dst_epoch: self.executors[dst.as_usize()].epoch,
             kind,
             chain,
-            delivered_at: SimTime::ZERO,
-            staged_at: SimTime::ZERO,
+            waiting_since: SimTime::ZERO,
         };
         if self.config.batch_size > 1 {
             self.stage_tuple(env, Bytes::new(20));
@@ -1678,7 +1676,7 @@ impl Simulation {
             self.counters
                 .add_node_tx(src_node.as_usize(), payload.get());
         }
-        env.staged_at = self.clock;
+        env.waiting_since = self.clock;
         let src_idx = env.src.as_usize();
         let pos = self.executors[src_idx]
             .pending
@@ -1727,7 +1725,7 @@ impl Simulation {
     /// tuple. The hop is re-classified from the endpoints' *current*
     /// placement (a smooth rollout may have moved them since staging),
     /// and each tuple's network span segment covers its own
-    /// `staged_at → delivery` interval so critical-path components keep
+    /// staging → delivery interval so critical-path components keep
     /// summing to root latency exactly.
     fn flush_batch(&mut self, mut batch: Box<BatchEnvelope>) {
         let (Some(src_slot), Some(dst_slot)) = (
@@ -1764,7 +1762,7 @@ impl Simulation {
         if self.spans.is_some() {
             // Fan the batch's one network trip back out per tuple.
             for i in 0..batch.tuples.len() {
-                let micros = self.span_micros(at, batch.tuples[i].staged_at);
+                let micros = self.span_micros(at, batch.tuples[i].waiting_since);
                 let t = &mut batch.tuples[i];
                 t.chain = extend_span(
                     &t.chain,
@@ -1830,7 +1828,7 @@ impl Simulation {
                 continue;
             }
             let tuple = env.root.map_or(u64::MAX, TupleId::get);
-            env.delivered_at = self.clock;
+            env.waiting_since = self.clock;
             let boxed = match self.env_pool.pop() {
                 Some(mut b) => {
                     self.pool_hits += 1;

@@ -19,12 +19,24 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`TStormError::InvalidConfig`] if a fault targets a node
-    /// or node-local slot outside the cluster, or ends past the last
-    /// representable [`SimTime`](tstorm_types::SimTime).
+    /// Returns [`TStormError::InvalidConfig`] if a fault is scheduled
+    /// before the current time, targets a node or node-local slot
+    /// outside the cluster, or ends past the last representable
+    /// [`SimTime`](tstorm_types::SimTime).
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) -> Result<()> {
         let mut scheduled = Vec::with_capacity(2 * plan.len());
         for event in plan.events() {
+            if event.at < self.clock {
+                return Err(TStormError::invalid_config(
+                    "--fault",
+                    format!(
+                        "{} at {} is before the current time {}",
+                        event.kind.name(),
+                        event.at,
+                        self.clock
+                    ),
+                ));
+            }
             if let Some(node) = event.kind.node() {
                 if node.as_usize() >= self.cluster.num_nodes() {
                     return Err(TStormError::invalid_config(
@@ -67,7 +79,7 @@ impl Simulation {
                 })?;
                 scheduled.push((at, restore));
             }
-            scheduled.push((event.at, Event::Fault(event.kind.clone())));
+            scheduled.push((event.at, Event::Fault(Box::new(event.kind.clone()))));
         }
         for (at, event) in scheduled {
             self.queue.push(at, event);

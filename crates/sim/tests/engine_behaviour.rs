@@ -586,6 +586,34 @@ fn fault_ending_past_the_time_range_is_rejected_whole() {
 }
 
 #[test]
+fn fault_before_the_current_time_is_rejected_whole() {
+    let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
+    sim.run_until(SimTime::from_secs(30));
+    let mut plan = FaultPlan::new();
+    plan.push(FaultEvent {
+        at: SimTime::from_secs(40),
+        kind: FaultKind::NimbusCrash {
+            duration: SimTime::from_secs(1),
+        },
+    });
+    plan.push(FaultEvent {
+        at: SimTime::from_secs(5),
+        kind: FaultKind::NicSlowdown {
+            node: NodeId::new(0),
+            factor: 2.0,
+            duration: SimTime::from_secs(1),
+        },
+    });
+    let err = sim.apply_fault_plan(&plan).expect_err("fault in the past");
+    assert!(err.to_string().contains("nic_slow"), "{err}");
+    // Nothing was queued, not even the valid Nimbus crash before it,
+    // and the clock never ran backwards.
+    sim.run_until(SimTime::from_secs(60));
+    assert_eq!(sim.faults_injected(), 0);
+    assert_eq!(sim.now(), SimTime::from_secs(60));
+}
+
+#[test]
 fn fanout_ack_tree_completes_only_when_all_branches_ack() {
     // Spout broadcasts to 3 sinks (All grouping): the XOR ack tree must
     // wait for all three branches before completing each root.

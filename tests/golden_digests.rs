@@ -55,6 +55,13 @@ struct Run {
 impl Run {
     /// The trace's FNV-1a digest and line count.
     fn digest(self) -> (u64, u64) {
+        self.digests().0
+    }
+
+    /// The trace's FNV-1a digest and line count, and the FNV-1a digest
+    /// of the critical-path collector's JSON summary (`None` with spans
+    /// off). Span segments reach the summary, not the trace.
+    fn digests(self) -> ((u64, u64), Option<u64>) {
         let mut system = TStormSystem::new(self.cluster, self.config).expect("valid config");
         let sink = SharedSink::new(JsonlWriter::new(Digest::default()));
         system.set_observer(Observer::builder().sink(Box::new(sink.handle())).build());
@@ -71,7 +78,13 @@ impl Run {
         system
             .run_until(SimTime::from_secs(self.until_secs))
             .expect("runs");
-        sink.with(|w| (w.get_ref().0.finish64(), w.lines_written()))
+        let spans = system.simulation().spans().map(|collector| {
+            let mut digest = StableHasher::new();
+            digest.write(collector.to_json().as_bytes());
+            digest.finish64()
+        });
+        let trace = sink.with(|w| (w.get_ref().0.finish64(), w.lines_written()));
+        (trace, spans)
     }
 }
 
@@ -227,4 +240,38 @@ fn transfer_fan_out_batch_8() {
         },
     };
     assert_eq!(run.digest(), (0xfa04_e406_76d2_63a3, 1_985_799));
+}
+
+/// The batch-8 transfer fan-out with spans on. Each tuple's network
+/// span segment runs from its own staging time to the batch's delivery,
+/// so the span summary pins how batched tuples carry their staging
+/// time; the trace itself is the one `transfer_fan_out_batch_8` pins.
+#[test]
+fn transfer_fan_out_batch_8_with_spans() {
+    let mut config = TStormConfig::default()
+        .with_mode(SystemMode::StormDefault)
+        .with_seed(42);
+    config.sim.batch_size = 8;
+    config.sim.network.nic_bits_per_sec = 10_000_000;
+    let run = Run {
+        cluster: ClusterSpec::homogeneous(2, 1, Mhz::new(8000.0)).expect("valid cluster"),
+        config,
+        spans: true,
+        faults: &[],
+        until_secs: 10,
+        submit: |system| {
+            let p = TransferParams::overload();
+            let topo = transfer::topology(&p).expect("valid");
+            system
+                .submit(&topo, &mut transfer::factory(&p, 42))
+                .expect("submits");
+        },
+    };
+    assert_eq!(
+        run.digests(),
+        (
+            (0xfa04_e406_76d2_63a3, 1_985_799),
+            Some(0x57b4_121c_8ac9_ac9c)
+        )
+    );
 }
